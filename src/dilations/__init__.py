@@ -14,8 +14,8 @@ LP-certified hull membership.
 from .builders import (INFINITE_GUARANTEE, WORD_CAP, BlockDiagonalOperator,
                        ConvexCombination, DilationTriple, ScaledBlockMap,
                        VerificationReport, WordCheck, build_n_dilation,
-                       build_simultaneous_n_dilation, compress_word,
-                       compressed_power, rationalize_family,
+                       build_simultaneous_n_dilation, check_word,
+                       compress_word, compressed_power, rationalize_family,
                        rationalize_weights, shift_dilation, trivial_dilation,
                        verify_dilation, zero_augment, zero_augment_targets)
 from .cyclic import (CyclicPermutation, MultiIndex, Orbit, OrbitPartition,
@@ -32,9 +32,8 @@ from .isometries import (OrthogonalDecomposition, SignedPermutation,
                          decompose_contraction, is_lp_isometry,
                          rationalize_decomposition, svd)
 from .linalg import (EXACT, FLOAT64, ModeError, OperatorMatrix, PNorm,
-                     SpaceDescriptor, as_fraction, assemble_blocks,
-                     block_diag, lp_norm, lp_norm_pow_p, matmul,
-                     operator_residual, sym_eig)
+                     SpaceDescriptor, as_fraction, block_diag, lp_norm,
+                     lp_norm_pow_p, operator_residual, sym_eig)
 from .schaffer import (CrossValidationReport, UnitaryNDilation, cross_validate,
                        defect_root, schaffer_dilation, spectral_norm)
 from .simplex import Phase1Result, solve_equalities
@@ -51,13 +50,14 @@ __all__ = [
     "SeparationCertificate", "SignedPermutation", "SpaceDescriptor",
     "UnitaryNDilation", "VerificationReport", "WORD_CAP", "WordCheck",
     "WordSum", "act", "all_permutations", "all_signed_permutations",
-    "as_fraction", "assemble_blocks", "block_diag", "build_n_dilation",
-    "build_simultaneous_n_dilation", "check_orbit_identity", "compress_word",
-    "compressed_power", "cross_validate", "decompose_contraction",
-    "default_generators", "defect_root", "double_coset_count",
-    "enumerate_indices", "hull_membership", "is_lp_isometry", "lhs_word_sum",
-    "lp_norm", "lp_norm_pow_p", "matmul", "operator_residual",
-    "orbit_partition", "permutation_generators", "positive_isometry_scan",
+    "as_fraction", "block_diag", "build_n_dilation",
+    "build_simultaneous_n_dilation", "check_orbit_identity", "check_word",
+    "compress_word", "compressed_power", "cross_validate",
+    "decompose_contraction", "default_generators", "defect_root",
+    "double_coset_count", "enumerate_indices", "hull_membership",
+    "is_lp_isometry", "lhs_word_sum", "lp_norm", "lp_norm_pow_p",
+    "operator_residual", "orbit_partition", "permutation_generators",
+    "positive_isometry_scan",
     "rationalize_decomposition", "rationalize_family", "rationalize_weights",
     "rhs_word_sum", "schaffer_dilation", "shift_dilation",
     "signed_permutation_generators", "snap_matrix", "snap_to_rational",

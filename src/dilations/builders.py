@@ -97,12 +97,7 @@ class ConvexCombination:
 
     def operator(self) -> OperatorMatrix:
         """The combined operator sum(w_k T_k)."""
-        if self.mode == FLOAT64:
-            acc = np.zeros((self.dim, self.dim))
-            for w, t in zip(self.weights, self.isometries):
-                acc = acc + float(w) * t.to_ndarray()
-            return OperatorMatrix(acc)
-        acc = OperatorMatrix.zeros(self.dim, self.dim)
+        acc = OperatorMatrix.zeros(self.dim, self.dim, self.mode)
         for w, t in zip(self.weights, self.isometries):
             acc = acc + t.scale(w)
         return acc
@@ -168,30 +163,6 @@ class ScaledBlockMap:
                     out[:, at:at + d] = s * np.eye(d)
                 at += d
         return OperatorMatrix(out)
-
-    def apply_float(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        scales = self.scales()
-        if self.orientation == "embed":
-            if x.shape != (d,):
-                raise ValueError("vector length must match dim")
-            out = np.empty(self.big_dim)
-            at = 0
-            for s in scales:
-                for _ in range(self.copies):
-                    out[at:at + d] = s * x
-                    at += d
-            return out
-        if x.shape != (self.big_dim,):
-            raise ValueError("vector length must match the big space")
-        out = np.zeros(d)
-        at = 0
-        for s in scales:
-            for _ in range(self.copies):
-                out += s * x[at:at + d]
-                at += d
-        return out
 
     def image_norm_pow_p(self, x: Sequence, norm: PNorm) -> Fraction:
         """Exact sum of |(Jx)_i|^p for an embed map with exponent 1/p.
@@ -335,10 +306,6 @@ class VerificationReport:
     tolerance: float
     passed: bool
     out_of_contract_requested: bool
-
-    @property
-    def checked_products(self) -> list[tuple[tuple[str, ...], float]]:
-        return [(c.word, c.residual) for c in self.checks]
 
     def failing(self) -> list[WordCheck]:
         return [c for c in self.checks if c.in_contract and not c.passed]
@@ -517,6 +484,21 @@ def rationalize_family(family: Mapping[str, ConvexCombination],
     return {name: _expand_to_denominator(combo, lcd) for name, combo in family.items()}
 
 
+def _block_cycle(b: int, s: int, step: int, mode: str) -> OperatorMatrix:
+    """b x b grid of size-s blocks; block row k holds I in block column k + step (mod b)."""
+    rows = [[0] * (b * s) for _ in range(b * s)]
+    for blk in range(b):
+        src = ((blk + step) % b) * s
+        for i in range(s):
+            rows[blk * s + i][src + i] = 1
+    return OperatorMatrix(rows, mode)
+
+
+def _first_block(b: int, s: int, mode: str) -> OperatorMatrix:
+    """Embedding of a size-s space as the first of b stacked blocks."""
+    return OperatorMatrix([[int(i == j) for j in range(s)] for i in range(b * s)], mode)
+
+
 def zero_augment(u_family: Mapping[str, OperatorMatrix], N: int,
                  p: PNorm) -> DilationTriple:
     """Adjoin the zero operator to a family of isometries on Y.
@@ -540,30 +522,12 @@ def zero_augment(u_family: Mapping[str, OperatorMatrix], N: int,
             raise ValueError("family members must share size and mode")
     _require_isometries(items, p)
     b = N + 1
-    big = b * s
-    j = OperatorMatrix.zeros(big, s, mode)
-    q = OperatorMatrix.zeros(s, big, mode)
-    if mode == FLOAT64:
-        j._data[:s, :] = np.eye(s)
-        q._data[:, :s] = np.eye(s)
-    else:
-        for i in range(s):
-            j._data[i][i] = 1
-            q._data[i][i] = 1
-    family_out: dict[str, OperatorMatrix | BlockDiagonalOperator] = {}
-    for name, t in items:
-        family_out[name] = block_diag([t] * b)
-    cycle = OperatorMatrix.zeros(big, big, mode)
-    for blk in range(b):
-        src = ((blk + 1) % b) * s
-        if mode == FLOAT64:
-            cycle._data[blk * s:(blk + 1) * s, src:src + s] = np.eye(s)
-        else:
-            for i in range(s):
-                cycle._data[blk * s + i][src + i] = 1
-    family_out["0"] = cycle
-    space = SpaceDescriptor(big, p, f"l^{p} stack of {b} copies of Y, dim Y={s}")
-    return DilationTriple(space, j, q, family_out, N, mode)
+    j = _first_block(b, s, mode)
+    family_out: dict[str, OperatorMatrix | BlockDiagonalOperator] = {
+        name: block_diag([t] * b) for name, t in items}
+    family_out["0"] = _block_cycle(b, s, 1, mode)
+    space = SpaceDescriptor(b * s, p, f"l^{p} stack of {b} copies of Y, dim Y={s}")
+    return DilationTriple(space, j, j.transpose(), family_out, N, mode)
 
 
 def zero_augment_targets(u_family: Mapping[str, OperatorMatrix]) -> dict[str, OperatorMatrix]:
@@ -592,41 +556,19 @@ def shift_dilation(T: OperatorMatrix, window: int, label: str = "T") -> Dilation
         raise ValueError(f"not an l^1 contraction: max column sum {nrm}")
     d, mode = T.rows, T.mode
     b = window + 1
-    big = b * d
-    u = OperatorMatrix.zeros(big, big, mode)
-    for blk in range(b):
-        src = ((blk - 1) % b) * d
-        if mode == FLOAT64:
-            u._data[blk * d:(blk + 1) * d, src:src + d] = np.eye(d)
-        else:
-            for i in range(d):
-                u._data[blk * d + i][src + i] = 1
-    j = OperatorMatrix.zeros(big, d, mode)
-    q = OperatorMatrix.zeros(d, big, mode)
-    power = OperatorMatrix.identity(d, mode)
-    for blk in range(b):
-        if mode == FLOAT64:
-            q._data[:, blk * d:(blk + 1) * d] = power._data
-        else:
-            for i in range(d):
-                q._data[i][blk * d:(blk + 1) * d] = list(power._data[i])
-        power = power @ T
-    if mode == FLOAT64:
-        j._data[:d, :] = np.eye(d)
-    else:
-        for i in range(d):
-            j._data[i][i] = 1
+    powers = [OperatorMatrix.identity(d, mode)]
+    for _ in range(window):
+        powers.append(powers[-1] @ T)
+    q = OperatorMatrix([[x for t in powers for x in t.row_entries(i)] for i in range(d)],
+                       mode)
+    u = _block_cycle(b, d, -1, mode)
     space = SpaceDescriptor(
-        big, None, f"l^1 cyclic window of {b} blocks of dim {d}")
-    return DilationTriple(space, j, q, {label: u}, window, mode)
+        b * d, None, f"l^1 cyclic window of {b} blocks of dim {d}")
+    return DilationTriple(space, _first_block(b, d, mode), q, {label: u}, window, mode)
 
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-def _block_structured(triple: DilationTriple) -> bool:
-    return isinstance(triple.J, ScaledBlockMap)
 
 
 def _identity_operator(triple: DilationTriple):
@@ -727,14 +669,32 @@ def _word_set(labels: Sequence[str], max_len: int, cap: int,
     return words
 
 
+def check_word(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
+               word: Sequence[str], tolerance: float) -> WordCheck:
+    """Compare Q U_w J with the product of the targets along one word.
+
+    An exact triple passes only when the two matrices are equal; a float
+    triple passes when their residual is within tolerance.  The float
+    residual is reported in both modes.  Every label of the word must name
+    both an operator of the triple and a target.
+    """
+    word = tuple(word)
+    got = _compress(triple, _word_operator(triple, word))
+    want = OperatorMatrix.identity(next(iter(targets.values())).rows, triple.mode)
+    for lbl in word:
+        want = want @ targets[lbl]
+    residual = operator_residual(got, want)
+    passed = got == want if triple.mode == EXACT else residual <= tolerance
+    return WordCheck(word, residual, passed, len(word) <= triple.n_guarantee)
+
+
 def verify_dilation(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
                     max_len: int, tolerance: float = 1e-9, seed: int = 42,
                     word_cap: int = WORD_CAP) -> VerificationReport:
     """Check Q U_w J against the target product for every word up to max_len.
 
-    Exact mode passes only on residual identically zero; float mode compares
-    against the tolerance.  Words beyond the triple's guarantee still run
-    but are flagged and excluded from the verdict.
+    Each word is decided by :func:`check_word`.  Words beyond the triple's
+    guarantee still run but are flagged and excluded from the verdict.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
@@ -751,19 +711,7 @@ def verify_dilation(triple: DilationTriple, targets: Mapping[str, OperatorMatrix
             raise ValueError("targets must be square and equally sized")
     beyond = max_len > triple.n_guarantee
     words = _word_set(labels, max_len, word_cap, random.Random(seed))
-    checks = []
-    for word in words:
-        got = _compress(triple, _word_operator(triple, word))
-        want = OperatorMatrix.identity(target_dim, triple.mode)
-        for lbl in word:
-            want = want @ targets[lbl]
-        residual = operator_residual(got, want)
-        in_contract = len(word) <= triple.n_guarantee
-        if triple.mode == EXACT:
-            ok = residual == 0.0
-        else:
-            ok = residual <= tolerance
-        checks.append(WordCheck(tuple(word), residual, ok, in_contract))
+    checks = [check_word(triple, targets, word, tolerance) for word in words]
     in_c = [c for c in checks if c.in_contract]
     max_res = max((c.residual for c in in_c), default=0.0)
     passed = all(c.passed for c in in_c)

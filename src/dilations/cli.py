@@ -14,19 +14,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 
 from .builders import (WORD_CAP, ConvexCombination, build_n_dilation,
-                       build_simultaneous_n_dilation, compress_word,
+                       build_simultaneous_n_dilation, check_word,
                        rationalize_family, shift_dilation, verify_dilation,
                        zero_augment, zero_augment_targets)
 from .cyclic import (check_orbit_identity, double_coset_count, lhs_word_sum,
                      orbit_partition, rhs_word_sum)
-from .hull import (CONVEX, SNAP_DENOMINATOR, SUBCONVEX, hull_membership,
-                   permutation_generators, signed_permutation_generators,
-                   snap_matrix)
+from .hull import (CONVEX, GENERATOR_CAP, SNAP_DENOMINATOR, SUBCONVEX,
+                   hull_membership, permutation_generators,
+                   signed_permutation_generators, snap_matrix)
 from .isometries import decompose_contraction, rationalize_decomposition
 from .linalg import (EXACT, FLOAT64, ModeError, OperatorMatrix, PNorm,
                      operator_residual)
@@ -63,6 +64,8 @@ def _parse_scalar(x):
     if isinstance(x, int):
         return EXACT, x
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise PayloadError(f"non-finite number {x!r}")
         return FLOAT64, x
     if isinstance(x, str):
         try:
@@ -201,10 +204,10 @@ def _check(name: str, residual: float, passed: bool, word=None, **extra):
     return entry
 
 
-def _report_from_verification(vr) -> list[dict]:
+def _word_results(checks) -> list[dict]:
     return [
         _check("word", c.residual, c.passed, word=c.word, in_contract=c.in_contract)
-        for c in vr.checks
+        for c in checks
     ]
 
 
@@ -234,12 +237,6 @@ def _emit(doc, out_path) -> int:
     return 0 if doc["summary"]["pass"] else 1
 
 
-def _residual_ok(mode: str, residual: float, tolerance: float) -> bool:
-    if mode == EXACT:
-        return residual == 0.0
-    return residual <= tolerance
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -253,11 +250,8 @@ def _cmd_build(args) -> int:
         triple = build_n_dilation(combo, args.N, p, label=args.label)
     except (ValueError, ModeError) as exc:
         raise PayloadError(str(exc)) from exc
-    eye = OperatorMatrix.identity(combo.dim, combo.mode)
-    composed = compress_word(triple, ())
-    residual = operator_residual(composed, eye)
-    results = [_check("compose-identity", residual,
-                      _residual_ok(triple.mode, residual, args.tolerance), word=[])]
+    composed = check_word(triple, {args.label: combo.operator()}, (), args.tolerance)
+    results = [_check("compose-identity", composed.residual, composed.passed, word=[])]
     provenance = {
         "space_dim": triple.space.dim,
         "block_count": combo.m ** args.N,
@@ -269,27 +263,12 @@ def _cmd_build(args) -> int:
                            provenance, warnings), args.out)
 
 
-def _verify_words(triple, targets, args, explicit_words):
-    results = []
-    if explicit_words is not None:
-        for text in explicit_words:
-            word = tuple(w for w in text.split(",") if w)
-            for lbl in word:
-                if lbl not in triple.U_family:
-                    raise PayloadError(f"unknown label {lbl!r} in word {text!r}")
-            got = compress_word(triple, word)
-            want = OperatorMatrix.identity(next(iter(targets.values())).rows, triple.mode)
-            for lbl in word:
-                want = want @ targets[lbl]
-            residual = operator_residual(got, want)
-            ok = _residual_ok(triple.mode, residual, args.tolerance)
-            results.append(_check("word", residual, ok, word=word,
-                                  in_contract=len(word) <= triple.n_guarantee))
-        return results
-    vr = verify_dilation(triple, targets, args.all_up_to,
-                         tolerance=args.tolerance, seed=args.seed,
-                         word_cap=args.word_cap)
-    return _report_from_verification(vr)
+def _parse_word(text: str, triple) -> tuple[str, ...]:
+    word = tuple(w for w in text.split(",") if w)
+    for lbl in word:
+        if lbl not in triple.U_family:
+            raise PayloadError(f"unknown label {lbl!r} in word {text!r}")
+    return word
 
 
 def _cmd_verify(args) -> int:
@@ -307,7 +286,14 @@ def _cmd_verify(args) -> int:
     except (ValueError, ModeError) as exc:
         raise PayloadError(str(exc)) from exc
     targets = {args.label: combo.operator()}
-    results = _verify_words(triple, targets, args, args.word or None)
+    if args.word:
+        checks = [check_word(triple, targets, _parse_word(text, triple), args.tolerance)
+                  for text in args.word]
+    else:
+        checks = verify_dilation(triple, targets, args.all_up_to,
+                                 tolerance=args.tolerance, seed=args.seed,
+                                 word_cap=args.word_cap).checks
+    results = _word_results(checks)
     provenance = {
         "space_dim": triple.space.dim,
         "n_guarantee": args.N,
@@ -343,7 +329,7 @@ def _cmd_simultaneous(args) -> int:
     targets = {name: combo.operator() for name, combo in family.items()}
     vr = verify_dilation(triple, targets, args.N, tolerance=args.tolerance,
                          seed=args.seed, word_cap=args.word_cap)
-    results = _report_from_verification(vr)
+    results = _word_results(vr.checks)
     provenance = {
         "space_dim": triple.space.dim,
         "n_guarantee": args.N,
@@ -368,7 +354,7 @@ def _cmd_zero_augment(args) -> int:
     targets = zero_augment_targets(members)
     vr = verify_dilation(triple, targets, args.N, tolerance=args.tolerance,
                          seed=args.seed, word_cap=args.word_cap)
-    results = _report_from_verification(vr)
+    results = _word_results(vr.checks)
     provenance = {
         "space_dim": triple.space.dim,
         "n_guarantee": args.N,
@@ -392,7 +378,7 @@ def _cmd_shift(args) -> int:
     vr = verify_dilation(triple, {"T": mat}, args.window,
                          tolerance=args.tolerance, seed=args.seed,
                          word_cap=args.word_cap)
-    results = _report_from_verification(vr)
+    results = _word_results(vr.checks)
     provenance = {
         "space_dim": triple.space.dim,
         "n_guarantee": args.window,
@@ -502,7 +488,7 @@ def _cmd_hull_check(args) -> int:
         "generator_count": len(gens),
         "snap_error": snap_error,
         "membership": membership,
-        "caps": {"generator_cap": 5000,
+        "caps": {"generator_cap": GENERATOR_CAP,
                  "max_denominator": args.max_denominator},
     }
     return _emit(_assemble("hull-check", input_hash, EXACT, results,

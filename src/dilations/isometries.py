@@ -14,15 +14,12 @@ values, with product weights built from (1 +- sigma_k)/2.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .linalg import (EXACT, FLOAT64, ModeError, OperatorMatrix, PNorm,
-                     is_exact_scalar, sym_eig)
+from .linalg import EXACT, FLOAT64, OperatorMatrix, PNorm
 
 _SIGNED_PERM_CAP = 5
 _DECOMP_DIM_CAP = 8
@@ -77,33 +74,16 @@ def all_signed_permutations(d: int, cap: int = _SIGNED_PERM_CAP) -> list[SignedP
     return out
 
 
-def _signed_perm_pattern_exact(T: OperatorMatrix) -> bool:
+def _is_signed_perm_pattern(T: OperatorMatrix, tol) -> bool:
+    """One entry of magnitude 1 (within tol) per row and column, the rest 0."""
     d = T.rows
     col_hits = [0] * d
     for i in range(d):
         row_hits = 0
         for j in range(d):
-            x = T[i, j]
-            if x != 0:
-                if abs(x) != 1:
-                    return False
-                row_hits += 1
-                col_hits[j] += 1
-        if row_hits != 1:
-            return False
-    return all(c == 1 for c in col_hits)
-
-
-def _signed_perm_pattern_float(T: OperatorMatrix, tol: float) -> bool:
-    a = T.to_ndarray()
-    d = a.shape[0]
-    col_hits = [0] * d
-    for i in range(d):
-        row_hits = 0
-        for j in range(d):
-            x = abs(a[i, j])
+            x = abs(T[i, j])
             if x > tol:
-                if abs(x - 1.0) > tol:
+                if abs(x - 1) > tol:
                     return False
                 row_hits += 1
                 col_hits[j] += 1
@@ -127,53 +107,25 @@ def is_lp_isometry(T: OperatorMatrix, norm: PNorm, tol: float = _ISO_TOL) -> boo
         if T.mode == EXACT:
             return gram == eye
         return float(np.max(np.abs(gram.to_ndarray() - np.eye(T.rows)))) <= tol
-    if T.mode == EXACT:
-        return _signed_perm_pattern_exact(T)
-    return _signed_perm_pattern_float(T, tol)
+    return _is_signed_perm_pattern(T, 0 if T.mode == EXACT else tol)
 
 
 def svd(T: OperatorMatrix) -> tuple[OperatorMatrix, list[float], OperatorMatrix]:
     """Singular value decomposition T = U diag(sigma) V^t, sigma descending.
 
-    Built on the symmetric eigensolver applied to T^t T.  Columns of U for
-    vanishing singular values are completed to an orthonormal basis by
-    Gram-Schmidt, which covers defective inputs such as nilpotent matrices.
+    LAPACK (via numpy) returns full orthonormal U and V, also for defective
+    inputs such as nilpotent matrices.  Singular values below
+    1e-12 * max(sigma_0, 1) are reported as exactly 0.0.
     """
     if not T.is_square:
         raise ValueError("svd implemented for square matrices")
     d = T.rows
     if d > _SVD_DIM_CAP:
         raise ValueError(f"dimension {d} above svd cap {_SVD_DIM_CAP}")
-    a = T.to_ndarray()
-    evals, vmat = sym_eig(OperatorMatrix(a.T @ a))
-    order = list(range(d - 1, -1, -1))   # ascending -> descending
-    v = vmat.to_ndarray()[:, order]
-    sigma = [math.sqrt(max(evals[i], 0.0)) for i in order]
-    scale = max(sigma[0], 1.0)
-    u = np.zeros((d, d))
-    for i in range(d):
-        if sigma[i] > 1e-12 * scale:
-            col = a @ v[:, i] / sigma[i]
-            for k in range(i):
-                col = col - (u[:, k] @ col) * u[:, k]
-            u[:, i] = col / math.sqrt(float(col @ col))
-        else:
-            sigma[i] = 0.0
-            # rank deficient: complete with the basis vector whose residual
-            # after projecting out the columns found so far is largest
-            best, best_nrm = None, 0.0
-            for cand in range(d):
-                col = np.zeros(d)
-                col[cand] = 1.0
-                for k in range(i):
-                    col = col - (u[:, k] @ col) * u[:, k]
-                nrm = math.sqrt(float(col @ col))
-                if nrm > best_nrm:
-                    best, best_nrm = col, nrm
-            if best is None or best_nrm < 1e-8:
-                raise ArithmeticError("basis completion failed")
-            u[:, i] = best / best_nrm
-    return OperatorMatrix(u), sigma, OperatorMatrix(v)
+    u, s, vt = np.linalg.svd(T.to_ndarray())
+    floor = 1e-12 * max(float(s[0]), 1.0)
+    sigma = [float(x) if x > floor else 0.0 for x in s]
+    return OperatorMatrix(u), sigma, OperatorMatrix(vt.T.copy())
 
 
 @dataclass(frozen=True)

@@ -13,20 +13,14 @@ Modes never mix silently: combining an exact matrix with a float one raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 EXACT = "exact"
 FLOAT64 = "float64"
-
-# Convergence target for the Jacobi eigensolver: the Frobenius mass of the
-# off-diagonal part must drop below this before the sweep loop stops.
-_JACOBI_OFF_TARGET = 1e-13
-_JACOBI_MAX_SWEEPS = 60
 
 _SYMMETRY_TOL = 1e-12
 
@@ -145,17 +139,12 @@ class OperatorMatrix:
         if any(len(r) != ncol for r in rows):
             raise ValueError("ragged rows")
         detected = _detect_mode(rows)
-        if mode is not None and mode != detected:
-            if mode == FLOAT64 and detected == EXACT:
-                # explicit coercion of exact literals into float mode
-                self.rows, self.cols = len(rows), ncol
-                self.mode = FLOAT64
-                self._data = np.array([[float(x) for x in r] for r in rows], dtype=float)
-                return
+        # exact literals may be coerced into float mode, never the reverse
+        if mode not in (None, detected, FLOAT64):
             raise ModeError(f"requested mode {mode} but entries are {detected}")
         self.rows, self.cols = len(rows), ncol
-        self.mode = detected
-        if detected == FLOAT64:
+        self.mode = mode or detected
+        if self.mode == FLOAT64:
             self._data = np.array([[float(x) for x in r] for r in rows], dtype=float)
         else:
             self._data = rows
@@ -288,21 +277,12 @@ class OperatorMatrix:
 
     __hash__ = None  # mutable payload; not hashable
 
-    def max_abs(self) -> float:
-        if self.mode == FLOAT64:
-            return float(np.max(np.abs(self._data)))
-        return max((abs(float(x)) for r in self._data for x in r), default=0.0)
-
     def one_norm(self):
         """Maximum absolute column sum (the l1 -> l1 operator norm)."""
         if self.mode == FLOAT64:
             return float(np.max(np.sum(np.abs(self._data), axis=0)))
         sums = [sum(abs(r[j]) for r in self._data) for j in range(self.cols)]
         return max(sums)
-
-
-def matmul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    return a @ b
 
 
 def operator_residual(a: OperatorMatrix, b: OperatorMatrix) -> float:
@@ -383,108 +363,18 @@ def block_diag(blocks: Sequence[OperatorMatrix]) -> OperatorMatrix:
     return OperatorMatrix._from_exact_rows(rows)
 
 
-def assemble_blocks(grid: Sequence[Sequence[OperatorMatrix | None]],
-                    mode: str = EXACT) -> OperatorMatrix:
-    """Build a matrix from a 2-d grid of blocks; None means a zero block.
-
-    Block sizes are read off the populated cells; every row of the grid needs
-    at least one populated cell and all cells must be size-consistent.
-    """
-    grid = [list(row) for row in grid]
-    if not grid or any(len(r) != len(grid[0]) for r in grid):
-        raise ValueError("grid must be a non-empty rectangle")
-    ncols = len(grid[0])
-    row_h = [None] * len(grid)
-    col_w = [None] * ncols
-    for i, row in enumerate(grid):
-        for j, cell in enumerate(row):
-            if cell is None:
-                continue
-            if cell.mode != mode:
-                raise ModeError("assemble_blocks cell in wrong mode")
-            if row_h[i] is None:
-                row_h[i] = cell.rows
-            elif row_h[i] != cell.rows:
-                raise ValueError("inconsistent block heights")
-            if col_w[j] is None:
-                col_w[j] = cell.cols
-            elif col_w[j] != cell.cols:
-                raise ValueError("inconsistent block widths")
-    if any(h is None for h in row_h) or any(w is None for w in col_w):
-        raise ValueError("every grid row and column needs a populated cell")
-    total_r, total_c = sum(row_h), sum(col_w)
-    out = OperatorMatrix.zeros(total_r, total_c, mode)
-    r_at = 0
-    for i, row in enumerate(grid):
-        c_at = 0
-        for j, cell in enumerate(row):
-            if cell is not None:
-                if mode == FLOAT64:
-                    out._data[r_at:r_at + row_h[i], c_at:c_at + col_w[j]] = cell._data
-                else:
-                    for bi, brow in enumerate(cell._data):
-                        out._data[r_at + bi][c_at:c_at + col_w[j]] = list(brow)
-            c_at += col_w[j]
-        r_at += row_h[i]
-    return out
-
-
-def _off_mass(a: np.ndarray) -> float:
-    n = a.shape[0]
-    off = a - np.diag(np.diag(a))
-    return float(math.sqrt(np.sum(off * off)))
-
-
 def sym_eig(matrix: OperatorMatrix) -> tuple[list[float], OperatorMatrix]:
-    """Eigendecomposition of a symmetric float64 matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric float64 matrix (LAPACK, via numpy).
 
-    Runs full sweeps of plane rotations until the Frobenius mass of the
-    off-diagonal part is below 1e-13.  Returns eigenvalues in ascending order
-    and the matching orthonormal eigenvectors as columns.
+    Returns eigenvalues in ascending order and the matching orthonormal
+    eigenvectors as columns.
     """
     if matrix.mode != FLOAT64:
         raise ModeError("sym_eig operates on float64 matrices")
     if not matrix.is_square:
         raise ValueError("sym_eig needs a square matrix")
     a = matrix.to_ndarray()
-    n = a.shape[0]
     if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL:
         raise ValueError("matrix not symmetric within 1e-12")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n == 1:
-        return [float(a[0, 0])], OperatorMatrix(v)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _off_mass(a) < _JACOBI_OFF_TARGET:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        akp, akq = a[k, p], a[k, q]
-                        a[k, p] = a[p, k] = c * akp - s * akq
-                        a[k, q] = a[q, k] = s * akp + c * akq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    order = np.argsort(np.diag(a), kind="stable")
-    eigenvalues = [float(a[i, i]) for i in order]
-    vectors = v[:, order]
-    return eigenvalues, OperatorMatrix(vectors)
+    evals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    return [float(x) for x in evals], OperatorMatrix(vecs)

@@ -65,11 +65,6 @@ class UnitaryNDilation:
     d: int
     N: int
 
-    @property
-    def block_range(self) -> tuple[int, int]:
-        """Index range of block 0, where T lives under compression."""
-        return (0, self.d)
-
     def compression(self, n: int) -> OperatorMatrix:
         """Top-left d x d corner of U^n."""
         if n < 0:

@@ -1,10 +1,15 @@
 """End-to-end command line runs: schemas, exit codes, determinism."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from dilations import builders
+from dilations.builders import ConvexCombination
 from dilations.cli import run
+from dilations.linalg import OperatorMatrix, PNorm
 
 
 def _write(tmp_path, name, obj):
@@ -283,3 +288,41 @@ def test_reports_are_sorted_and_indented(tmp_path, capsys):
     run(["build", "--combo", combo, "--N", "1"])
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("route", ["verify_dilation", "verify-word", "build"])
+def test_exact_verdict_needs_equality(route, tmp_path, capsys, monkeypatch):
+    # Q U_w J off by 10^-400 from the true product: the float residual
+    # underflows to 0.0, but the matrices differ, so the word must fail
+    tiny = OperatorMatrix([[Fraction(1, 10 ** 400), 0], [0, 0]])
+    compress = builders._compress
+    monkeypatch.setattr(builders, "_compress",
+                        lambda triple, middle: compress(triple, middle) + tiny)
+    if route == "verify_dilation":
+        combo = ConvexCombination(
+            (OperatorMatrix.identity(2), OperatorMatrix([[0, 1], [1, 0]])),
+            (Fraction(1, 3), Fraction(2, 3)))
+        triple = builders.build_n_dilation(combo, 1, PNorm(3))
+        report = builders.verify_dilation(triple, {"T": combo.operator()}, 1)
+        assert (report.passed, report.max_residual) == (False, 0.0)
+    else:
+        combo = _write(tmp_path, "combo.json", _combo_payload())
+        argv = {"build": ["build", "--combo", combo, "--N", "1"],
+                "verify-word": ["verify", "--combo", combo, "--N", "1", "--word", "T"]}
+        code, doc = _run_json(capsys, argv[route])
+        assert code == 1
+        assert doc["summary"] == {"max_residual": 0.0, "pass": False}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argv", [
+    ["decompose"],
+    ["oracle", "--N", "2"],
+    ["shift", "--window", "2"],
+    ["hull-check", "--generators", "sperms"],
+], ids=lambda argv: argv[0])
+def test_non_finite_entries_are_input_errors(argv, value, tmp_path, capsys):
+    matrix = _write(tmp_path, "matrix.json", _mat([[value, 0.0], [0.0, 0.5]]))
+    code = run(argv[:1] + ["--matrix", matrix] + argv[1:])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilations.linalg import (EXACT, FLOAT64, ModeError, OperatorMatrix,
-                              PNorm, SpaceDescriptor, as_fraction,
-                              assemble_blocks, block_diag, lp_norm,
-                              lp_norm_pow_p, operator_residual, sym_eig)
+                              PNorm, SpaceDescriptor, as_fraction, block_diag,
+                              lp_norm, lp_norm_pow_p, operator_residual,
+                              sym_eig)
 
 F = Fraction
 
@@ -113,11 +113,6 @@ def test_block_diag_and_assemble():
     d = block_diag([a, b])
     assert d.shape == (3, 3)
     assert d[1, 1] == 2 and d[0, 1] == 0
-    grid = [[None, a], [a, None]]
-    g = assemble_blocks(grid)
-    assert g[0, 1] == 1 and g[1, 0] == 1 and g[0, 0] == 0
-    with pytest.raises(ValueError):
-        assemble_blocks([[None, None], [a, a]])
 
 
 def test_one_norm_is_max_column_sum():
