@@ -22,6 +22,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -35,6 +36,7 @@ from .isometries import is_lp_isometry
 
 INFINITE_GUARANTEE = math.inf
 WORD_CAP = 10_000
+STACK_BYTES_CAP = 64 * 2 ** 20    # a builder's U stacks, at 8 bytes per entry
 
 _L1_CONTRACTION_TOL = 1e-12
 
@@ -127,7 +129,7 @@ class ScaledBlockMap:
             raise ValueError("orientation must be 'embed' or 'readout'")
         if not self.bases:
             raise ValueError("need at least one block")
-        if any(b <= 0 for b in self.bases):
+        if any(b <= 0 for b in self.base_classes[0]):
             raise ValueError("bases must be positive rationals")
         if not (0 < self.exponent < 1):
             raise ValueError("exponent must lie strictly between 0 and 1")
@@ -142,9 +144,20 @@ class ScaledBlockMap:
     def big_dim(self) -> int:
         return self.block_count * self.copies * self.dim
 
+    @cached_property
+    def base_classes(self) -> tuple[tuple[Fraction, ...], np.ndarray]:
+        """The distinct bases in order of first appearance, and each block's class."""
+        index: dict[tuple[int, int], int] = {}
+        inverse = np.array([index.setdefault((b.numerator, b.denominator), len(index))
+                            for b in self.bases])
+        inverse.setflags(write=False)
+        return tuple(Fraction(n, d) for n, d in index), inverse
+
     def scales(self) -> np.ndarray:
+        """base**exponent per block, evaluated once per distinct base."""
         e = float(self.exponent)
-        return np.array([float(b) ** e for b in self.bases])
+        distinct, inverse = self.base_classes
+        return np.array([float(b) ** e for b in distinct])[inverse]
 
     def to_matrix(self) -> OperatorMatrix:
         """Materialize as a float64 matrix (the scales are irrational)."""
@@ -183,24 +196,39 @@ class ScaledBlockMap:
 class BlockDiagonalOperator:
     """Direct sum of equally sized square blocks, one scalar mode.
 
-    Exact mode keeps a list of OperatorMatrix blocks; float mode keeps a
-    stacked (count, size, size) array so products run batched.
+    Both modes keep one (count, size, size) numpy stack, so a product is a
+    single batched ``np.matmul``.  In float mode the stack holds the entries
+    and the denominator is 1.  In exact mode it holds integer numerators over
+    one common positive ``denominator``: signed permutations have D = 1,
+    rational orthogonal matrices D = 5, 13, 65, ....  ``bound`` caps the largest
+    absolute row sum of the numerators; it multiplies along products, and the
+    stack stays int64 only while the bound proves that nothing overflows,
+    after which it is promoted to Python ints (``dtype=object``).
     """
 
-    __slots__ = ("mode", "count", "size", "_blocks", "_stack")
+    __slots__ = ("mode", "count", "size", "stack", "denominator", "bound")
 
-    def __init__(self, *, blocks=None, stack=None):
-        if (blocks is None) == (stack is None):
-            raise ValueError("give exactly one of blocks or stack")
-        if stack is not None:
-            arr = np.asarray(stack, dtype=float)
-            if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-                raise ValueError("stack must be (count, size, size)")
-            self.mode = FLOAT64
-            self.count, self.size = int(arr.shape[0]), int(arr.shape[1])
-            self._stack = arr
-            self._blocks = None
-            return
+    def __init__(self, stack):
+        """A float stack; exact operators come from :meth:`from_blocks`."""
+        arr = np.asarray(stack, dtype=float)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ValueError("stack must be (count, size, size)")
+        self._set(FLOAT64, arr, 1, None)
+
+    def _set(self, mode, stack, denominator, bound):
+        self.mode, self.stack = mode, stack
+        self.count, self.size = int(stack.shape[0]), int(stack.shape[1])
+        self.denominator, self.bound = denominator, bound
+
+    @classmethod
+    def _of(cls, mode, stack, denominator, bound) -> "BlockDiagonalOperator":
+        """Internal fast path: the stack already follows the class invariants."""
+        op = object.__new__(cls)
+        op._set(mode, stack, denominator, bound)
+        return op
+
+    @classmethod
+    def from_blocks(cls, blocks) -> "BlockDiagonalOperator":
         blocks = list(blocks)
         if not blocks:
             raise ValueError("need at least one block")
@@ -212,26 +240,14 @@ class BlockDiagonalOperator:
             if b.mode != mode:
                 raise ModeError("blocks must share one mode")
         if mode == FLOAT64:
-            self.mode = FLOAT64
-            self.count, self.size = len(blocks), size
-            self._stack = np.stack([b.to_ndarray() for b in blocks])
-            self._blocks = None
-        else:
-            self.mode = EXACT
-            self.count, self.size = len(blocks), size
-            self._blocks = blocks
-            self._stack = None
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "BlockDiagonalOperator":
-        return cls(blocks=blocks)
+            return cls(np.stack([b.to_ndarray() for b in blocks]))
+        return cls._of(EXACT, *_integer_stack(blocks))
 
     @classmethod
     def identity(cls, count: int, size: int, mode: str) -> "BlockDiagonalOperator":
-        if mode == FLOAT64:
-            return cls(stack=np.broadcast_to(np.eye(size), (count, size, size)).copy())
-        eye = OperatorMatrix.identity(size)
-        return cls(blocks=[eye] * count)
+        dtype = float if mode == FLOAT64 else np.int64
+        stack = np.broadcast_to(np.eye(size, dtype=dtype), (count, size, size)).copy()
+        return cls._of(mode, stack, 1, None if mode == FLOAT64 else 1)
 
     @property
     def dim(self) -> int:
@@ -239,15 +255,12 @@ class BlockDiagonalOperator:
 
     @property
     def blocks(self) -> list[OperatorMatrix]:
-        if self.mode == EXACT:
-            return list(self._blocks)
-        return [OperatorMatrix(self._stack[i]) for i in range(self.count)]
-
-    @property
-    def stack(self) -> np.ndarray:
-        if self.mode != FLOAT64:
-            raise ModeError("stack view exists in float mode only")
-        return self._stack
+        if self.mode == FLOAT64:
+            return [OperatorMatrix(self.stack[i]) for i in range(self.count)]
+        den = self.denominator
+        return [OperatorMatrix._from_exact_rows(
+                    [[x if den == 1 else Fraction(x, den) for x in row] for row in block])
+                for block in self.stack.tolist()]
 
     def __matmul__(self, other: "BlockDiagonalOperator") -> "BlockDiagonalOperator":
         if not isinstance(other, BlockDiagonalOperator):
@@ -256,16 +269,31 @@ class BlockDiagonalOperator:
             raise ModeError("mode mismatch in block product")
         if self.count != other.count or self.size != other.size:
             raise ValueError("block partitions differ")
-        if self.mode == FLOAT64:
-            return BlockDiagonalOperator(stack=np.matmul(self._stack, other._stack))
-        return BlockDiagonalOperator(
-            blocks=[a @ b for a, b in zip(self._blocks, other._blocks)])
+        a, b, bound = self.stack, other.stack, None
+        if self.mode == EXACT:
+            bound = self.bound * other.bound
+            if bound >= _INT64_LIMIT:
+                a, b = a.astype(object), b.astype(object)
+        return BlockDiagonalOperator._of(self.mode, np.matmul(a, b),
+                                         self.denominator * other.denominator, bound)
 
     def to_matrix(self) -> OperatorMatrix:
         return block_diag(self.blocks)
 
     def __repr__(self) -> str:
         return f"BlockDiagonalOperator({self.count} x {self.size}x{self.size}, {self.mode})"
+
+
+_INT64_LIMIT = 2 ** 63
+
+
+def _integer_stack(mats) -> tuple[np.ndarray, int, int]:
+    """Exact square matrices as (numerator stack, common denominator, row-sum bound)."""
+    den = math.lcm(*(x.denominator for t in mats for row in t._data for x in row))
+    nums = [[[x.numerator * (den // x.denominator) for x in row] for row in t._data]
+            for t in mats]
+    bound = max(sum(abs(x) for x in row) for t in nums for row in t)
+    return np.array(nums, dtype=np.int64 if bound < _INT64_LIMIT else object), den, bound
 
 
 @dataclass(frozen=True)
@@ -339,29 +367,37 @@ def trivial_dilation(isometries: Mapping[str, OperatorMatrix], p: PNorm) -> Dila
     return DilationTriple(space, eye, eye, dict(items), INFINITE_GUARANTEE, mode)
 
 
-def _alpha_blocks_exact(isos, indices, N, d):
-    blocks = []
+def _alpha_blocks(isos, slots: np.ndarray, N: int, d: int, mode: str) -> BlockDiagonalOperator:
+    """U for one combination: block b routes slot k through isos[slots[b, k]] from slot k+1.
+
+    ``slots`` is the (m^N, N) array of 0-based isometry indices, one row per alpha.
+    """
+    if mode == EXACT:
+        mats, den, bound = _integer_stack(isos)
+    else:
+        mats, den, bound = np.stack([t.to_ndarray() for t in isos]), 1, None
     s = N * d
-    for alpha in indices:
-        rows = [[0] * s for _ in range(s)]
-        for k in range(N):
-            t = isos[alpha.values[k] - 1]
-            off = ((k + 1) % N) * d
-            for i in range(d):
-                rows[k * d + i][off:off + d] = list(t._data[i])
-        blocks.append(OperatorMatrix._from_exact_rows(rows))
-    return BlockDiagonalOperator(blocks=blocks)
+    stack = np.zeros((len(slots), s, s), dtype=mats.dtype)
+    for k in range(N):
+        off = ((k + 1) % N) * d
+        stack[:, k * d:(k + 1) * d, off:off + d] = mats[slots[:, k]]
+    return BlockDiagonalOperator._of(mode, stack, den, bound)
 
 
-def _alpha_blocks_float(isos, indices, N, d):
-    mats = [t.to_ndarray() for t in isos]
-    s = N * d
-    stack = np.zeros((len(indices), s, s))
-    for b, alpha in enumerate(indices):
-        for k in range(N):
-            off = ((k + 1) % N) * d
-            stack[b, k * d:(k + 1) * d, off:off + d] = mats[alpha.values[k] - 1]
-    return BlockDiagonalOperator(stack=stack)
+def _slot_array(m: int, N: int, d: int, stacks: int = 1):
+    """The m^N multi-indices and their (m^N, N) array of 0-based symbols.
+
+    Raises ValueError before enumerating anything when the U stacks, `stacks`
+    of them with m^N blocks of size N*d in 8-byte entries, would exceed
+    STACK_BYTES_CAP.
+    """
+    nbytes = stacks * m ** N * (N * d) ** 2 * 8
+    if nbytes > STACK_BYTES_CAP:
+        raise ValueError(
+            f"dilation too large: {stacks} x {m}^{N} blocks of size {N * d} need "
+            f"{nbytes} bytes, over the cap of {STACK_BYTES_CAP} bytes")
+    indices = enumerate_indices(m, N)
+    return indices, np.array([alpha.values for alpha in indices], dtype=np.intp) - 1
 
 
 def _validated_combo(combo: ConvexCombination, p: PNorm) -> ConvexCombination:
@@ -384,12 +420,14 @@ def build_n_dilation(combo: ConvexCombination, N: int, p: PNorm,
         raise ValueError("N must be at least 1")
     combo = _validated_combo(combo, p)
     m, d, mode = combo.m, combo.dim, combo.mode
-    indices = enumerate_indices(m, N)
-    bases = tuple(weight_of(alpha, combo.weights) / N for alpha in indices)
-    if mode == EXACT:
-        u = _alpha_blocks_exact(combo.isometries, indices, N, d)
-    else:
-        u = _alpha_blocks_float(combo.isometries, indices, N, d)
+    indices, slots = _slot_array(m, N, d)
+    # weight(alpha) depends only on the multiset of alpha's symbols, which the
+    # sorted slots spell in base m (below m^N, so within int64 under the cap)
+    key = np.sort(slots, axis=1) @ m ** np.arange(N)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    class_bases = [weight_of(indices[i], combo.weights) / N for i in first]
+    bases = tuple([class_bases[c] for c in inverse.tolist()])
+    u = _alpha_blocks(combo.isometries, slots, N, d, mode)
     one_over_p = 1 / p.p
     j = ScaledBlockMap("embed", bases, one_over_p, N, d, mode)
     q = ScaledBlockMap("readout", bases, 1 - one_over_p, N, d, mode)
@@ -424,15 +462,10 @@ def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
         if any(w != Fraction(1, m) for w in combo.weights):
             raise ValueError(f"member {name!r} is not in equal-weight form")
         _validated_combo(combo, p)
-    indices = enumerate_indices(m, N)
-    base = Fraction(1, N * m ** N)
-    bases = (base,) * len(indices)
-    u_family = {}
-    for name, combo in members:
-        if mode == EXACT:
-            u_family[name] = _alpha_blocks_exact(combo.isometries, indices, N, d)
-        else:
-            u_family[name] = _alpha_blocks_float(combo.isometries, indices, N, d)
+    _, slots = _slot_array(m, N, d, stacks=len(members))
+    bases = (Fraction(1, N * m ** N),) * len(slots)
+    u_family = {name: _alpha_blocks(combo.isometries, slots, N, d, mode)
+                for name, combo in members}
     one_over_p = 1 / p.p
     j = ScaledBlockMap("embed", bases, one_over_p, N, d, mode)
     q = ScaledBlockMap("readout", bases, 1 - one_over_p, N, d, mode)
@@ -579,8 +612,10 @@ def _identity_operator(triple: DilationTriple):
 
 
 def _word_operator(triple: DilationTriple, word: Sequence[str]):
-    acc = _identity_operator(triple)
-    for lbl in word:
+    if not word:
+        return _identity_operator(triple)
+    acc = triple.U_family[word[0]]
+    for lbl in word[1:]:
         acc = acc @ triple.U_family[lbl]
     return acc
 
@@ -613,30 +648,24 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
             raise ValueError("J and Q exponents must sum to 1")
         if middle.count != j.block_count or middle.size != j.copies * j.dim:
             raise ValueError("block partition mismatch")
-        d, copies = j.dim, j.copies
-        if triple.mode == EXACT:
-            out = [[0] * d for _ in range(d)]
-            for base, block in zip(j.bases, middle._blocks):
-                data = block._data
-                sub = [[0] * d for _ in range(d)]
-                for k in range(copies):
-                    for i in range(d):
-                        row = data[k * d + i]
-                        srow = sub[i]
-                        for off in range(0, copies * d, d):
-                            for jj in range(d):
-                                x = row[off + jj]
-                                if x:
-                                    srow[jj] = srow[jj] + x
-                for i in range(d):
-                    orow = out[i]
-                    srow = sub[i]
-                    for jj in range(d):
-                        if srow[jj]:
-                            orow[jj] = orow[jj] + base * srow[jj]
-            return OperatorMatrix._from_exact_rows(out)
+        d, copies, count = j.dim, j.copies, middle.count
         stack = middle.stack
-        sums = stack.reshape(middle.count, copies, d, copies, d).sum(axis=(1, 3))
+        if triple.mode == EXACT and middle.bound * count * copies >= _INT64_LIMIT:
+            stack = stack.astype(object)
+        sums = stack.reshape(count, copies, d, copies, d).sum(axis=(1, 3))
+        if triple.mode == EXACT:
+            # the exponents cancel, so block b contributes bases[b] * sums[b];
+            # sum the integer blocks per distinct base, then scale once per base
+            distinct, inverse = j.base_classes
+            per_base = np.zeros((len(distinct), d, d), dtype=sums.dtype)
+            np.add.at(per_base, inverse, sums)
+            den = math.lcm(*(b.denominator for b in distinct))
+            coeffs = np.array([b.numerator * (den // b.denominator) for b in distinct],
+                              dtype=object)
+            nums = np.tensordot(coeffs, per_base.astype(object), axes=1).tolist()
+            den *= middle.denominator
+            return OperatorMatrix._from_exact_rows(
+                [[Fraction(x, den) for x in row] for row in nums])
         coeffs = j.scales() * q.scales()
         return OperatorMatrix(np.einsum("b,bij->ij", coeffs, sums))
     middle_m = middle.to_matrix() if isinstance(middle, BlockDiagonalOperator) else middle
@@ -669,6 +698,48 @@ def _word_set(labels: Sequence[str], max_len: int, cap: int,
     return words
 
 
+def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
+          words: Sequence[tuple[str, ...]], tolerance: float) -> list[WordCheck]:
+    """Decide every word; the one place a word verdict is made.
+
+    Q U_w J must equal the target product exactly in exact mode, and lie
+    within `tolerance` of it in float mode.  The distinct words are visited
+    in sorted order, so each word comes right after its prefixes, and each
+    step extends a prefix by one label with one product.  A stack holds (prefix, U product, target product)
+    along the current word; a prefix that only one label ever extends is
+    replaced by its extension, since no later word can branch off it.  The
+    checks come back in the order of `words`, repeats included.
+    """
+    distinct = sorted(set(words))
+    branches: dict[tuple[str, ...], set[str]] = {}
+    for word in distinct:
+        for i, lbl in enumerate(word):
+            branches.setdefault(word[:i], set()).add(lbl)
+    decided: dict[tuple[str, ...], WordCheck] = {}
+    stack: list = []
+    for word in distinct:
+        while stack and word[:len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        for i in range(len(stack[-1][0]) if stack else 0, len(word)):
+            u, t = triple.U_family[word[i]], targets[word[i]]
+            if stack:
+                prefix, pu, pt = stack[-1]
+                u, t = pu @ u, pt @ t
+                if len(branches[prefix]) == 1:
+                    stack.pop()
+            stack.append((word[:i + 1], u, t))
+        if word:
+            _, middle, want = stack[-1]
+        else:
+            middle = _identity_operator(triple)
+            want = OperatorMatrix.identity(next(iter(targets.values())).rows, triple.mode)
+        got = _compress(triple, middle)
+        residual = operator_residual(got, want)
+        passed = got == want if triple.mode == EXACT else residual <= tolerance
+        decided[word] = WordCheck(word, residual, passed, len(word) <= triple.n_guarantee)
+    return [decided[word] for word in words]
+
+
 def check_word(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
                word: Sequence[str], tolerance: float) -> WordCheck:
     """Compare Q U_w J with the product of the targets along one word.
@@ -678,25 +749,25 @@ def check_word(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
     residual is reported in both modes.  Every label of the word must name
     both an operator of the triple and a target.
     """
-    word = tuple(word)
-    got = _compress(triple, _word_operator(triple, word))
-    want = OperatorMatrix.identity(next(iter(targets.values())).rows, triple.mode)
-    for lbl in word:
-        want = want @ targets[lbl]
-    residual = operator_residual(got, want)
-    passed = got == want if triple.mode == EXACT else residual <= tolerance
-    return WordCheck(word, residual, passed, len(word) <= triple.n_guarantee)
+    return _walk(triple, targets, [tuple(word)], tolerance)[0]
 
 
 def verify_dilation(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
-                    max_len: int, tolerance: float = 1e-9, seed: int = 42,
-                    word_cap: int = WORD_CAP) -> VerificationReport:
-    """Check Q U_w J against the target product for every word up to max_len.
+                    max_len: int | None = None, tolerance: float = 1e-9, seed: int = 42,
+                    word_cap: int = WORD_CAP,
+                    words: Sequence[Sequence[str]] | None = None) -> VerificationReport:
+    """Check Q U_w J against the target product, word by word.
 
-    Each word is decided by :func:`check_word`.  Words beyond the triple's
-    guarantee still run but are flagged and excluded from the verdict.
+    The words are either every word up to max_len (sampled with `seed` once
+    there are more than `word_cap`) or the explicit `words`, in their order;
+    give exactly one of the two.  Words are decided as :func:`check_word`
+    decides them, with products shared along common prefixes.  Words beyond
+    the triple's guarantee still run but are flagged and excluded from the
+    verdict.
     """
-    if max_len < 0:
+    if (max_len is None) == (words is None):
+        raise ValueError("give exactly one of max_len and words")
+    if max_len is not None and max_len < 0:
         raise ValueError("max_len must be nonnegative")
     labels = list(targets)
     if not labels:
@@ -709,11 +780,18 @@ def verify_dilation(triple: DilationTriple, targets: Mapping[str, OperatorMatrix
         t = targets[lbl]
         if not t.is_square or t.rows != target_dim:
             raise ValueError("targets must be square and equally sized")
-    beyond = max_len > triple.n_guarantee
-    words = _word_set(labels, max_len, word_cap, random.Random(seed))
-    checks = [check_word(triple, targets, word, tolerance) for word in words]
+    if words is None:
+        words = _word_set(labels, max_len, word_cap, random.Random(seed))
+    else:
+        words = [tuple(w) for w in words]
+        for word in words:
+            for lbl in word:
+                if lbl not in targets:
+                    raise ValueError(f"unknown operator label {lbl!r}")
+        max_len = max(map(len, words), default=0)
+    checks = _walk(triple, targets, words, tolerance)
     in_c = [c for c in checks if c.in_contract]
     max_res = max((c.residual for c in in_c), default=0.0)
     passed = all(c.passed for c in in_c)
     return VerificationReport(tuple(checks), max_res, triple.mode,
-                              float(tolerance), passed, beyond)
+                              float(tolerance), passed, max_len > triple.n_guarantee)

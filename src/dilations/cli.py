@@ -287,13 +287,14 @@ def _cmd_verify(args) -> int:
         raise PayloadError(str(exc)) from exc
     targets = {args.label: combo.operator()}
     if args.word:
-        checks = [check_word(triple, targets, _parse_word(text, triple), args.tolerance)
-                  for text in args.word]
+        vr = verify_dilation(triple, targets, words=[_parse_word(text, triple)
+                                                     for text in args.word],
+                             tolerance=args.tolerance)
     else:
-        checks = verify_dilation(triple, targets, args.all_up_to,
-                                 tolerance=args.tolerance, seed=args.seed,
-                                 word_cap=args.word_cap).checks
-    results = _word_results(checks)
+        vr = verify_dilation(triple, targets, args.all_up_to,
+                             tolerance=args.tolerance, seed=args.seed,
+                             word_cap=args.word_cap)
+    results = _word_results(vr.checks)
     provenance = {
         "space_dim": triple.space.dim,
         "n_guarantee": args.N,

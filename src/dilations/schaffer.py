@@ -18,13 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import ConvexCombination, build_n_dilation, compressed_power
+from .builders import (STACK_BYTES_CAP, ConvexCombination, build_n_dilation,
+                       compressed_power)
 from .isometries import decompose_contraction, rationalize_decomposition
 from .linalg import EXACT, OperatorMatrix, PNorm, sym_eig
 
 _NORM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
-_STACK_BYTES_CAP = 64 * 2 ** 20
 _CROSS_DIM_CAP = 5
 _CROSS_POWER_CAP = 4
 _CROSS_SNAP_DENOMINATOR = 10 ** 9
@@ -201,7 +201,7 @@ def cross_validate(T: OperatorMatrix, N: int,
     rat_weights, rat_err = rationalize_decomposition(decomp, snap_denominator)
     m = len(rat_weights)
     stack_bytes = (m ** N) * (N * d) ** 2 * 8
-    if stack_bytes <= _STACK_BYTES_CAP:
+    if stack_bytes <= STACK_BYTES_CAP:
         combo = ConvexCombination(tuple(decomp.factors), tuple(rat_weights))
         triple = build_n_dilation(combo, N, PNorm(2))
         decomp_res = tuple(

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilations import builders
 from dilations.builders import (INFINITE_GUARANTEE, BlockDiagonalOperator,
                                 ConvexCombination, ScaledBlockMap,
                                 build_n_dilation,
-                                build_simultaneous_n_dilation, compress_word,
+                                build_simultaneous_n_dilation, check_word,
+                                compress_word,
                                 compressed_power, rationalize_family,
                                 rationalize_weights, shift_dilation,
                                 trivial_dilation, verify_dilation,
@@ -350,6 +352,11 @@ def test_block_diagonal_operator_modes():
     assert prod.blocks[1] == OperatorMatrix.identity(2)
     assert operator_residual((fl @ fl).to_matrix(),
                              exact.to_matrix().to_float() @ exact.to_matrix().to_float()) == 0.0
+    third = OperatorMatrix([[F(1, 3), F(2, 3)], [0, 1]])
+    thirds = BlockDiagonalOperator.from_blocks([third, I2])
+    assert (thirds.denominator, thirds.bound) == (3, 3)
+    assert thirds.stack.tolist() == [[[1, 2], [0, 3]], [[3, 0], [0, 3]]]
+    assert (thirds @ thirds).blocks == [third @ third, I2]
 
 
 @settings(max_examples=30, deadline=None)
@@ -367,3 +374,149 @@ def test_random_exact_dilations_property(d, N, seed, data):
     T = combo.operator()
     for n in range(N + 1):
         assert compressed_power(triple, n) == T.power(n)
+
+
+# ---------------------------------------------------------------------------
+# integer block kernel and prefix walk
+
+R5 = OperatorMatrix([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])
+R13 = OperatorMatrix([[F(5, 13), F(12, 13)], [F(-12, 13), F(5, 13)]])
+
+
+def _dense_block_compression(triple, n):
+    """Q U^n J summed block by block with OperatorMatrix arithmetic only."""
+    j = triple.J
+    d, copies = j.dim, j.copies
+    out = OperatorMatrix.zeros(d, d)
+    for base, block in zip(j.bases, triple.U_family["T"].blocks):
+        power = block.power(n)
+        for k in range(copies):
+            for c in range(copies):
+                sub = OperatorMatrix([[power[k * d + i, c * d + jj] for jj in range(d)]
+                                      for i in range(d)])
+                out = out + sub.scale(base)
+    return out
+
+
+@pytest.mark.parametrize("isos, weights", [
+    ((R5, R5.transpose()), (F(1, 3), F(2, 3))),
+    ((R13, I2), (F(3, 4), F(1, 4))),
+    ((R5, R13, SWAP), (F(1, 6), F(1, 2), F(1, 3))),
+])
+def test_rational_orthogonal_kernel_matches_oracles(isos, weights):
+    combo = ConvexCombination(isos, weights)
+    T = combo.operator()
+    for N in (1, 2, 3, 4):
+        if combo.m ** N * N * N > 400:
+            continue
+        triple = build_n_dilation(combo, N, P2)
+        u = triple.U_family["T"]
+        assert u.stack.dtype == np.int64 and u.denominator > 1
+        for n in range(N + 1):
+            got = compressed_power(triple, n)
+            assert got == T.power(n)
+            assert got == _dense_block_compression(triple, n)
+
+
+def test_kernel_past_int64_matches_python_ints():
+    # 3^n leaves int64 at n = 40; the stack must be promoted, never wrap
+    dense = OperatorMatrix([[3, 0], [1, 2]])
+    op = BlockDiagonalOperator.from_blocks([dense])
+    acc, want = op, dense
+    for _ in range(45):
+        acc, want = acc @ op, want @ dense
+    assert acc.stack.dtype == object
+    assert want[0, 0] == 3 ** 46 > 2 ** 63
+    assert acc.blocks[0] == want
+    # the whole pipeline: 5^28 R5^28 has numerators past 2^63
+    triple = build_n_dilation(ConvexCombination((R5,), (F(1),)), 28, P2)
+    assert compressed_power(triple, 28) == R5.power(28)
+
+
+def test_kernel_entries_are_python_scalars():
+    for combo, p in ((_combo((F(1, 3), F(2, 3))), P3),
+                     (ConvexCombination((R5, R13), (F(1, 2), F(1, 2))), P2)):
+        triple = build_n_dilation(combo, 2, p)
+        mats = [compressed_power(triple, n) for n in range(3)]
+        mats += triple.U_family["T"].blocks
+        for mat in mats:
+            for i in range(mat.rows):
+                assert all(type(x) in (int, Fraction) for x in mat.row_entries(i))
+
+
+def _count_block_products(monkeypatch) -> list:
+    products = []
+    matmul = BlockDiagonalOperator.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(BlockDiagonalOperator, "__matmul__", counted)
+    return products
+
+
+def test_single_label_walk_shares_prefixes(monkeypatch):
+    products = _count_block_products(monkeypatch)
+    N = 5
+    combo = _combo((F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, N, P3)
+    report = verify_dilation(triple, {"T": combo.operator()}, N)
+    assert report.passed and len(report.checks) == N + 1
+    assert len(products) <= N
+
+
+def _three_member_family():
+    return rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
+                               "B": _combo((F(1, 3), F(2, 3)), (NEG, SWAP)),
+                               "C": _combo((F(1, 6), F(5, 6)), (SWAP, NEG))})
+
+
+def test_walk_one_product_per_extension(monkeypatch):
+    fam = _three_member_family()
+    triple = build_simultaneous_n_dilation(fam, 3, P3)
+    products = _count_block_products(monkeypatch)
+    report = verify_dilation(triple, {k: v.operator() for k, v in fam.items()}, 3)
+    assert report.passed and len(report.checks) == 1 + 3 + 9 + 27
+    # words of length 0 and 1 need no product, every longer word exactly one
+    assert len(products) == 9 + 27
+
+
+@pytest.mark.parametrize("word_cap", [builders.WORD_CAP, 11])
+def test_walk_matches_check_word(word_cap):
+    fam = _three_member_family()
+    triple = build_simultaneous_n_dilation(fam, 2, P3)
+    targets = {k: v.operator() for k, v in fam.items()}
+    report = verify_dilation(triple, targets, 3, word_cap=word_cap, seed=3)
+    words = builders._word_set(list(targets), 3, word_cap, random.Random(3))
+    assert len(words) == min(word_cap, 1 + 3 + 9 + 27)
+    assert report.checks == tuple(check_word(triple, targets, w, 1e-9) for w in words)
+    assert any(not c.passed for c in report.checks if not c.in_contract)
+
+
+def test_explicit_words_keep_their_order():
+    combo = _combo((F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 2, P3)
+    targets = {"T": combo.operator()}
+    words = [("T", "T"), (), ("T", "T", "T"), ("T",), ("T", "T")]
+    report = verify_dilation(triple, targets, words=words)
+    assert [c.word for c in report.checks] == words
+    assert report.checks == tuple(check_word(triple, targets, w, 1e-9) for w in words)
+    assert report.out_of_contract_requested and report.passed
+    with pytest.raises(ValueError):
+        verify_dilation(triple, targets, 2, words=words)
+    with pytest.raises(ValueError):
+        verify_dilation(triple, targets, words=[("X",)])
+
+
+def test_size_cap_before_enumeration(monkeypatch):
+    def never(*args):
+        raise AssertionError("indices enumerated past the size cap")
+
+    monkeypatch.setattr(builders, "enumerate_indices", never)
+    with pytest.raises(ValueError, match="over the cap"):
+        build_n_dilation(_combo((F(1, 2), F(1, 2))), 20, P3)
+    fam = rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
+                              "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))})
+    with pytest.raises(ValueError, match="over the cap"):
+        build_simultaneous_n_dilation(fam, 20, P3)

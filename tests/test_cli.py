@@ -326,3 +326,15 @@ def test_non_finite_entries_are_input_errors(argv, value, tmp_path, capsys):
     code = run(argv[:1] + ["--matrix", matrix] + argv[1:])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_oversized_dilation_is_input_error(tmp_path, capsys):
+    # m = 4, N = 14: 4^14 blocks would need terabytes; refused before any allocation
+    payload = {"p": "3", "isometries": [_mat([[1, 0], [0, 1]]), _mat([[0, 1], [1, 0]]),
+                                        _mat([[-1, 0], [0, 1]]), _mat([[0, -1], [1, 0]])],
+               "weights": ["1/4"] * 4}
+    combo = _write(tmp_path, "combo.json", payload)
+    code = run(["verify", "--combo", combo, "--N", "14", "--all-up-to", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dilation too large" in err and "over the cap" in err
