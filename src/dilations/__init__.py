@@ -12,10 +12,11 @@ LP-certified hull membership.
 """
 
 from .builders import (INFINITE_GUARANTEE, WORD_CAP, BlockDiagonalOperator,
-                       ConvexCombination, DilationTriple, ScaledBlockMap,
-                       VerificationReport, WordCheck, build_n_dilation,
-                       build_simultaneous_n_dilation, check_word,
-                       compress_word, compressed_power, rationalize_family,
+                       ConvexCombination, DilationTriple, FirstBlockMap,
+                       ScaledBlockMap, VerificationReport, WordCheck,
+                       build_n_dilation, build_simultaneous_n_dilation,
+                       check_word, compress_word, compressed_power,
+                       compressed_powers, rationalize_family,
                        rationalize_weights, shift_dilation, trivial_dilation,
                        verify_dilation, zero_augment, zero_augment_targets)
 from .cyclic import (CyclicPermutation, MultiIndex, Orbit, OrbitPartition,
@@ -43,8 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockDiagonalOperator", "CONVEX", "ConvexCombination",
     "CrossValidationReport", "CyclicPermutation", "DilationTriple", "EXACT",
-    "FLOAT64", "INFINITE_GUARANTEE", "MembershipResult", "ModeError",
-    "MultiIndex", "OperatorMatrix", "Orbit", "OrbitPartition",
+    "FLOAT64", "FirstBlockMap", "INFINITE_GUARANTEE", "MembershipResult",
+    "ModeError", "MultiIndex", "OperatorMatrix", "Orbit", "OrbitPartition",
     "OrthogonalDecomposition", "PNorm", "Phase1Result", "PositiveScanReport",
     "ProductFibreReport", "SUBCONVEX", "ScaledBlockMap",
     "SeparationCertificate", "SignedPermutation", "SpaceDescriptor",
@@ -52,9 +53,9 @@ __all__ = [
     "WordSum", "act", "all_permutations", "all_signed_permutations",
     "as_fraction", "block_diag", "build_n_dilation",
     "build_simultaneous_n_dilation", "check_orbit_identity", "check_word",
-    "compress_word", "compressed_power", "cross_validate",
-    "decompose_contraction", "default_generators", "defect_root",
-    "double_coset_count", "enumerate_indices", "hull_membership",
+    "compress_word", "compressed_power", "compressed_powers",
+    "cross_validate", "decompose_contraction", "default_generators",
+    "defect_root", "double_coset_count", "enumerate_indices", "hull_membership",
     "is_lp_isometry", "lhs_word_sum", "lp_norm", "lp_norm_pow_p",
     "operator_residual", "orbit_partition", "permutation_generators",
     "positive_isometry_scan",

@@ -193,42 +193,74 @@ class ScaledBlockMap:
         return factor * body
 
 
-class BlockDiagonalOperator:
-    """Direct sum of equally sized square blocks, one scalar mode.
+@dataclass(frozen=True)
+class FirstBlockMap:
+    """Embedding into, or read-out of, the first of `blocks` stacked copies of a space.
 
-    Both modes keep one (count, size, size) numpy stack, so a product is a
-    single batched ``np.matmul``.  In float mode the stack holds the entries
-    and the denominator is 1.  In exact mode it holds integer numerators over
-    one common positive ``denominator``: signed permutations have D = 1,
-    rational orthogonal matrices D = 5, 13, 65, ....  ``bound`` caps the largest
-    absolute row sum of the numerators; it multiplies along products, and the
-    stack stays int64 only while the bound proves that nothing overflows,
-    after which it is promoted to Python ints (``dtype=object``).
+    Between an "embed" and a "readout" map, a block operator compresses to
+    its (0, 0) block, which is why the compression never materializes them.
     """
 
-    __slots__ = ("mode", "count", "size", "stack", "denominator", "bound")
+    orientation: str            # "embed" | "readout"
+    blocks: int
+    dim: int
+    mode: str
 
-    def __init__(self, stack):
-        """A float stack; exact operators come from :meth:`from_blocks`."""
+    def to_matrix(self) -> OperatorMatrix:
+        embed = _first_block(self.blocks, self.dim, self.mode)
+        return embed if self.orientation == "embed" else embed.transpose()
+
+
+class BlockDiagonalOperator:
+    """Direct sum of `count` equal square blocks, each one block-monomial.
+
+    The operator is a grid of s x s sub-blocks with exactly one stored
+    sub-block per block row: ``stack[i]`` sits in block row i and block
+    column ``perm[i]``, and the rest of the row is zero.  Each outer block
+    of ``size`` = copies * s spans `copies` consecutive block rows, and
+    ``perm`` never leaves its outer block.  Plain block-diagonal operators
+    have ``perm = arange`` and one sub-block per outer block.
+
+    A product is one gather and one batched ``np.matmul``: row i of A @ B is
+    ``A.stack[i] @ B.stack[A.perm[i]]`` in column ``B.perm[A.perm[i]]``.
+    Both modes keep the stack as a numpy array.  In float mode it holds the
+    entries and the denominator is 1.  In exact mode it holds integer
+    numerators over one common positive ``denominator``: signed permutations
+    have D = 1, rational orthogonal matrices D = 5, 13, 65, ....  ``bound``
+    caps the largest absolute row sum of the numerators; it multiplies along
+    products, and the stack stays int64 only while the bound proves that
+    nothing overflows, after which it is promoted to Python ints
+    (``dtype=object``).
+    """
+
+    __slots__ = ("mode", "count", "size", "stack", "perm", "denominator", "bound")
+
+    def __init__(self, stack, perm=None, count=None):
+        """A float operator; exact operators come from :meth:`from_blocks`.
+
+        `perm` defaults to ``arange`` and `count` to one outer block per
+        sub-block, which is the plain block-diagonal operator of `stack`.
+        """
         arr = np.asarray(stack, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError("stack must be (count, size, size)")
-        self._set(FLOAT64, arr, 1, None)
+            raise ValueError("stack must be (sub-blocks, size, size)")
+        self._set(FLOAT64, arr, *_layout(len(arr), perm, count), 1, None)
 
-    def _set(self, mode, stack, denominator, bound):
-        self.mode, self.stack = mode, stack
-        self.count, self.size = int(stack.shape[0]), int(stack.shape[1])
+    def _set(self, mode, stack, perm, count, denominator, bound):
+        self.mode, self.stack, self.perm, self.count = mode, stack, perm, count
+        self.size = len(stack) // count * int(stack.shape[1])
         self.denominator, self.bound = denominator, bound
 
     @classmethod
-    def _of(cls, mode, stack, denominator, bound) -> "BlockDiagonalOperator":
-        """Internal fast path: the stack already follows the class invariants."""
+    def _of(cls, mode, stack, perm, count, denominator, bound) -> "BlockDiagonalOperator":
+        """Internal fast path: the arrays already follow the class invariants."""
         op = object.__new__(cls)
-        op._set(mode, stack, denominator, bound)
+        op._set(mode, stack, perm, count, denominator, bound)
         return op
 
     @classmethod
-    def from_blocks(cls, blocks) -> "BlockDiagonalOperator":
+    def from_blocks(cls, blocks, perm=None, count=None) -> "BlockDiagonalOperator":
+        """The operator with sub-blocks `blocks`, laid out as in the constructor."""
         blocks = list(blocks)
         if not blocks:
             raise ValueError("need at least one block")
@@ -240,14 +272,22 @@ class BlockDiagonalOperator:
             if b.mode != mode:
                 raise ModeError("blocks must share one mode")
         if mode == FLOAT64:
-            return cls(np.stack([b.to_ndarray() for b in blocks]))
-        return cls._of(EXACT, *_integer_stack(blocks))
+            return cls(np.stack([b.to_ndarray() for b in blocks]), perm, count)
+        stack, den, bound = _integer_stack(blocks)
+        return cls._of(EXACT, stack, *_layout(len(blocks), perm, count), den, bound)
 
-    @classmethod
-    def identity(cls, count: int, size: int, mode: str) -> "BlockDiagonalOperator":
-        dtype = float if mode == FLOAT64 else np.int64
-        stack = np.broadcast_to(np.eye(size, dtype=dtype), (count, size, size)).copy()
-        return cls._of(mode, stack, 1, None if mode == FLOAT64 else 1)
+    def identity_like(self) -> "BlockDiagonalOperator":
+        """The identity on this operator's block layout."""
+        n, s = self.stack.shape[:2]
+        dtype = float if self.mode == FLOAT64 else np.int64
+        stack = np.broadcast_to(np.eye(s, dtype=dtype), (n, s, s)).copy()
+        return BlockDiagonalOperator._of(self.mode, stack, np.arange(n), self.count,
+                                         1, None if self.mode == FLOAT64 else 1)
+
+    @property
+    def copies(self) -> int:
+        """Sub-blocks per outer block."""
+        return len(self.stack) // self.count
 
     @property
     def dim(self) -> int:
@@ -255,27 +295,30 @@ class BlockDiagonalOperator:
 
     @property
     def blocks(self) -> list[OperatorMatrix]:
-        if self.mode == FLOAT64:
-            return [OperatorMatrix(self.stack[i]) for i in range(self.count)]
-        den = self.denominator
-        return [OperatorMatrix._from_exact_rows(
-                    [[x if den == 1 else Fraction(x, den) for x in row] for row in block])
-                for block in self.stack.tolist()]
+        """The outer blocks, materialized densely."""
+        n, s = self.stack.shape[:2]
+        copies = self.copies
+        dense = np.zeros((self.count, copies, s, copies, s), dtype=self.stack.dtype)
+        rows = np.arange(n)
+        dense[rows // copies, rows % copies, :, self.perm % copies, :] = self.stack
+        dense = dense.reshape(self.count, self.size, self.size)
+        return [_block_matrix(block, self.mode, self.denominator) for block in dense]
 
     def __matmul__(self, other: "BlockDiagonalOperator") -> "BlockDiagonalOperator":
         if not isinstance(other, BlockDiagonalOperator):
             return NotImplemented
         if self.mode != other.mode:
             raise ModeError("mode mismatch in block product")
-        if self.count != other.count or self.size != other.size:
+        if self.count != other.count or self.stack.shape != other.stack.shape:
             raise ValueError("block partitions differ")
-        a, b, bound = self.stack, other.stack, None
+        a, b, bound = self.stack, other.stack[self.perm], None
         if self.mode == EXACT:
             bound = self.bound * other.bound
             if bound >= _INT64_LIMIT:
                 a, b = a.astype(object), b.astype(object)
-        return BlockDiagonalOperator._of(self.mode, np.matmul(a, b),
-                                         self.denominator * other.denominator, bound)
+        return BlockDiagonalOperator._of(self.mode, np.matmul(a, b), other.perm[self.perm],
+                                         self.count, self.denominator * other.denominator,
+                                         bound)
 
     def to_matrix(self) -> OperatorMatrix:
         return block_diag(self.blocks)
@@ -285,6 +328,30 @@ class BlockDiagonalOperator:
 
 
 _INT64_LIMIT = 2 ** 63
+
+
+def _layout(n: int, perm, count) -> tuple[np.ndarray, int]:
+    """Checked (perm, count) for n sub-blocks; defaults give block-diagonal."""
+    count = n if count is None else int(count)
+    if count < 1 or n % count:
+        raise ValueError(f"{n} sub-blocks do not split into {count} outer blocks")
+    if perm is None:
+        return np.arange(n), count
+    perm = np.asarray(perm)
+    rows = np.arange(n)
+    copies = n // count
+    if (perm.shape != (n,) or not np.issubdtype(perm.dtype, np.integer)
+            or np.any(perm < 0) or np.any(perm // copies != rows // copies)):
+        raise ValueError("perm must give each sub-block a column in its own outer block")
+    return perm.astype(np.intp), count
+
+
+def _block_matrix(block: np.ndarray, mode: str, den: int) -> OperatorMatrix:
+    """One stack entry as a matrix: float entries, or numerators over den."""
+    if mode == FLOAT64:
+        return OperatorMatrix(block)
+    return OperatorMatrix._from_exact_rows(
+        [[x if den == 1 else Fraction(x, den) for x in row] for row in block.tolist()])
 
 
 def _integer_stack(mats) -> tuple[np.ndarray, int, int]:
@@ -301,8 +368,8 @@ class DilationTriple:
     """(J, U_family, Q) on a bigger space, certified for words up to n_guarantee."""
 
     space: SpaceDescriptor
-    J: ScaledBlockMap | OperatorMatrix
-    Q: ScaledBlockMap | OperatorMatrix
+    J: ScaledBlockMap | FirstBlockMap | OperatorMatrix
+    Q: ScaledBlockMap | FirstBlockMap | OperatorMatrix
     U_family: dict[str, OperatorMatrix | BlockDiagonalOperator]
     n_guarantee: int | float
     mode: str
@@ -367,21 +434,20 @@ def trivial_dilation(isometries: Mapping[str, OperatorMatrix], p: PNorm) -> Dila
     return DilationTriple(space, eye, eye, dict(items), INFINITE_GUARANTEE, mode)
 
 
-def _alpha_blocks(isos, slots: np.ndarray, N: int, d: int, mode: str) -> BlockDiagonalOperator:
+def _alpha_blocks(isos, slots: np.ndarray, N: int, mode: str) -> BlockDiagonalOperator:
     """U for one combination: block b routes slot k through isos[slots[b, k]] from slot k+1.
 
-    ``slots`` is the (m^N, N) array of 0-based isometry indices, one row per alpha.
+    ``slots`` is the (m^N, N) array of 0-based isometry indices, one row per
+    alpha.  Sub-block b*N + k is that isometry, in block column b*N + (k+1) % N.
     """
     if mode == EXACT:
         mats, den, bound = _integer_stack(isos)
     else:
         mats, den, bound = np.stack([t.to_ndarray() for t in isos]), 1, None
-    s = N * d
-    stack = np.zeros((len(slots), s, s), dtype=mats.dtype)
-    for k in range(N):
-        off = ((k + 1) % N) * d
-        stack[:, k * d:(k + 1) * d, off:off + d] = mats[slots[:, k]]
-    return BlockDiagonalOperator._of(mode, stack, den, bound)
+    rows = np.arange(slots.size)
+    perm = rows - rows % N + (rows + 1) % N
+    return BlockDiagonalOperator._of(mode, mats[slots.reshape(-1)], perm, len(slots),
+                                     den, bound)
 
 
 def _slot_array(m: int, N: int, d: int, stacks: int = 1):
@@ -389,7 +455,8 @@ def _slot_array(m: int, N: int, d: int, stacks: int = 1):
 
     Raises ValueError before enumerating anything when the U stacks, `stacks`
     of them with m^N blocks of size N*d in 8-byte entries, would exceed
-    STACK_BYTES_CAP.
+    STACK_BYTES_CAP.  The stacks hold only N of each block's N^2 sub-blocks,
+    so this estimate is N times their real size.
     """
     nbytes = stacks * m ** N * (N * d) ** 2 * 8
     if nbytes > STACK_BYTES_CAP:
@@ -413,8 +480,9 @@ def build_n_dilation(combo: ConvexCombination, N: int, p: PNorm,
     The big space is a direct sum over all m^N slot assignments alpha of N
     copies of X, ordered lexicographically in alpha and then by slot.  Each
     alpha block of U routes slot k through the isometry alpha picks for it,
-    reading from slot k+1 cyclically; the block's share of the weight,
-    weight(alpha)/N, is split between J (power 1/p) and Q (power 1/q).
+    reading from slot k+1 cyclically, so U stores one d x d sub-block per
+    slot; the block's share of the weight, weight(alpha)/N, is split between
+    J (power 1/p) and Q (power 1/q).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -427,7 +495,7 @@ def build_n_dilation(combo: ConvexCombination, N: int, p: PNorm,
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     class_bases = [weight_of(indices[i], combo.weights) / N for i in first]
     bases = tuple([class_bases[c] for c in inverse.tolist()])
-    u = _alpha_blocks(combo.isometries, slots, N, d, mode)
+    u = _alpha_blocks(combo.isometries, slots, N, mode)
     one_over_p = 1 / p.p
     j = ScaledBlockMap("embed", bases, one_over_p, N, d, mode)
     q = ScaledBlockMap("readout", bases, 1 - one_over_p, N, d, mode)
@@ -464,7 +532,7 @@ def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
         _validated_combo(combo, p)
     _, slots = _slot_array(m, N, d, stacks=len(members))
     bases = (Fraction(1, N * m ** N),) * len(slots)
-    u_family = {name: _alpha_blocks(combo.isometries, slots, N, d, mode)
+    u_family = {name: _alpha_blocks(combo.isometries, slots, N, mode)
                 for name, combo in members}
     one_over_p = 1 / p.p
     j = ScaledBlockMap("embed", bases, one_over_p, N, d, mode)
@@ -517,11 +585,11 @@ def rationalize_family(family: Mapping[str, ConvexCombination],
     return {name: _expand_to_denominator(combo, lcd) for name, combo in family.items()}
 
 
-def _block_cycle(b: int, s: int, step: int, mode: str) -> OperatorMatrix:
-    """b x b grid of size-s blocks; block row k holds I in block column k + step (mod b)."""
+def _block_cycle(b: int, s: int, mode: str) -> OperatorMatrix:
+    """b x b grid of size-s blocks; block row k holds I in block column k - 1 (mod b)."""
     rows = [[0] * (b * s) for _ in range(b * s)]
     for blk in range(b):
-        src = ((blk + step) % b) * s
+        src = ((blk - 1) % b) * s
         for i in range(s):
             rows[blk * s + i][src + i] = 1
     return OperatorMatrix(rows, mode)
@@ -539,7 +607,8 @@ def zero_augment(u_family: Mapping[str, OperatorMatrix], N: int,
     On N+1 stacked copies of Y the nonzero members act diagonally while the
     label "0" acts as the block cycle pushing content away from the first
     block; any word of length <= N that uses "0" therefore reads out zero,
-    and words without "0" reduce to the plain product.
+    and words without "0" reduce to the plain product.  Every U is one outer
+    block of N+1 sub-blocks, and J, Q embed into and read out of the first.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -555,12 +624,13 @@ def zero_augment(u_family: Mapping[str, OperatorMatrix], N: int,
             raise ValueError("family members must share size and mode")
     _require_isometries(items, p)
     b = N + 1
-    j = _first_block(b, s, mode)
-    family_out: dict[str, OperatorMatrix | BlockDiagonalOperator] = {
-        name: block_diag([t] * b) for name, t in items}
-    family_out["0"] = _block_cycle(b, s, 1, mode)
+    family_out = {name: BlockDiagonalOperator.from_blocks([t] * b, count=1)
+                  for name, t in items}
+    family_out["0"] = BlockDiagonalOperator.from_blocks(
+        [OperatorMatrix.identity(s, mode)] * b, (np.arange(b) + 1) % b, count=1)
     space = SpaceDescriptor(b * s, p, f"l^{p} stack of {b} copies of Y, dim Y={s}")
-    return DilationTriple(space, j, j.transpose(), family_out, N, mode)
+    return DilationTriple(space, FirstBlockMap("embed", b, s, mode),
+                          FirstBlockMap("readout", b, s, mode), family_out, N, mode)
 
 
 def zero_augment_targets(u_family: Mapping[str, OperatorMatrix]) -> dict[str, OperatorMatrix]:
@@ -594,7 +664,7 @@ def shift_dilation(T: OperatorMatrix, window: int, label: str = "T") -> Dilation
         powers.append(powers[-1] @ T)
     q = OperatorMatrix([[x for t in powers for x in t.row_entries(i)] for i in range(d)],
                        mode)
-    u = _block_cycle(b, d, -1, mode)
+    u = _block_cycle(b, d, mode)
     space = SpaceDescriptor(
         b * d, None, f"l^1 cyclic window of {b} blocks of dim {d}")
     return DilationTriple(space, _first_block(b, d, mode), q, {label: u}, window, mode)
@@ -607,7 +677,7 @@ def shift_dilation(T: OperatorMatrix, window: int, label: str = "T") -> Dilation
 def _identity_operator(triple: DilationTriple):
     sample = next(iter(triple.U_family.values()))
     if isinstance(sample, BlockDiagonalOperator):
-        return BlockDiagonalOperator.identity(sample.count, sample.size, triple.mode)
+        return sample.identity_like()
     return OperatorMatrix.identity(sample.rows, triple.mode)
 
 
@@ -628,48 +698,81 @@ def compress_word(triple: DilationTriple, word: Sequence[str]) -> OperatorMatrix
     return _compress(triple, _word_operator(triple, word))
 
 
-def compressed_power(triple: DilationTriple, n: int, label: str | None = None) -> OperatorMatrix:
-    """Q U^n J for a single-operator triple (or a chosen label)."""
+def _power_label(triple: DilationTriple, label: str | None) -> str:
     if label is None:
         if len(triple.U_family) != 1:
             raise ValueError("triple has several operators; pass a label")
         label = next(iter(triple.U_family))
-    return compress_word(triple, (label,) * n)
+    return label
+
+
+def compressed_power(triple: DilationTriple, n: int, label: str | None = None) -> OperatorMatrix:
+    """Q U^n J for a single-operator triple (or a chosen label)."""
+    return compress_word(triple, (_power_label(triple, label),) * n)
+
+
+def compressed_powers(triple: DilationTriple, n_max: int,
+                      label: str | None = None) -> list[OperatorMatrix]:
+    """Q U^n J for n = 0..n_max from one running product: n_max - 1 block products.
+
+    Entry n is bit for bit :func:`compressed_power` ``(triple, n, label)``,
+    which multiplies in the same left-to-right order.
+    """
+    u = triple.U_family[_power_label(triple, label)]
+    acc = _identity_operator(triple)
+    out = [_compress(triple, acc)]
+    for n in range(1, n_max + 1):
+        acc = u if n == 1 else acc @ u
+        out.append(_compress(triple, acc))
+    return out
 
 
 def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
     j, q = triple.J, triple.Q
-    if isinstance(j, ScaledBlockMap):
-        if not isinstance(middle, BlockDiagonalOperator):
-            raise ValueError("structured triple needs a block-diagonal middle factor")
-        if not isinstance(q, ScaledBlockMap) or q.bases != j.bases:
-            raise ValueError("J and Q block scalings do not match")
-        if j.exponent + q.exponent != 1:
-            raise ValueError("J and Q exponents must sum to 1")
-        if middle.count != j.block_count or middle.size != j.copies * j.dim:
+    if isinstance(j, OperatorMatrix):
+        if not isinstance(middle, OperatorMatrix):
+            raise ValueError("dense J and Q need a dense middle factor")
+        return (q @ middle) @ j
+    if not isinstance(middle, BlockDiagonalOperator) or middle.stack.shape[1] != j.dim:
+        raise ValueError("structured J and Q need a block operator on blocks of their size")
+    if isinstance(j, FirstBlockMap):
+        if not isinstance(q, FirstBlockMap) or (q.blocks, q.dim) != (j.blocks, j.dim):
+            raise ValueError("J and Q first-block maps do not match")
+        if middle.count != 1 or middle.copies != j.blocks:
             raise ValueError("block partition mismatch")
-        d, copies, count = j.dim, j.copies, middle.count
-        stack = middle.stack
-        if triple.mode == EXACT and middle.bound * count * copies >= _INT64_LIMIT:
-            stack = stack.astype(object)
-        sums = stack.reshape(count, copies, d, copies, d).sum(axis=(1, 3))
-        if triple.mode == EXACT:
-            # the exponents cancel, so block b contributes bases[b] * sums[b];
-            # sum the integer blocks per distinct base, then scale once per base
-            distinct, inverse = j.base_classes
-            per_base = np.zeros((len(distinct), d, d), dtype=sums.dtype)
-            np.add.at(per_base, inverse, sums)
-            den = math.lcm(*(b.denominator for b in distinct))
-            coeffs = np.array([b.numerator * (den // b.denominator) for b in distinct],
-                              dtype=object)
-            nums = np.tensordot(coeffs, per_base.astype(object), axes=1).tolist()
-            den *= middle.denominator
-            return OperatorMatrix._from_exact_rows(
-                [[Fraction(x, den) for x in row] for row in nums])
-        coeffs = j.scales() * q.scales()
-        return OperatorMatrix(np.einsum("b,bij->ij", coeffs, sums))
-    middle_m = middle.to_matrix() if isinstance(middle, BlockDiagonalOperator) else middle
-    return (q @ middle_m) @ j
+        # block row 0 holds one sub-block; it is the (0, 0) block only when
+        # it sits in block column 0
+        if middle.perm[0] != 0:
+            return OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
+        return _block_matrix(middle.stack[0], middle.mode, middle.denominator)
+    if not isinstance(q, ScaledBlockMap) or q.bases != j.bases:
+        raise ValueError("J and Q block scalings do not match")
+    if j.exponent + q.exponent != 1:
+        raise ValueError("J and Q exponents must sum to 1")
+    if middle.count != j.block_count or middle.copies != j.copies:
+        raise ValueError("block partition mismatch")
+    d, copies, count = j.dim, j.copies, middle.count
+    stack = middle.stack
+    if triple.mode == EXACT and middle.bound * count * copies >= _INT64_LIMIT:
+        stack = stack.astype(object)
+    # J and Q touch every copy, so each alpha block contributes the sum of its
+    # sub-blocks, wherever they sit
+    sums = stack.reshape(count, copies, d, d).sum(axis=1)
+    if triple.mode == EXACT:
+        # the exponents cancel, so block b contributes bases[b] * sums[b];
+        # sum the integer blocks per distinct base, then scale once per base
+        distinct, inverse = j.base_classes
+        per_base = np.zeros((len(distinct), d, d), dtype=sums.dtype)
+        np.add.at(per_base, inverse, sums)
+        den = math.lcm(*(b.denominator for b in distinct))
+        coeffs = np.array([b.numerator * (den // b.denominator) for b in distinct],
+                          dtype=object)
+        nums = np.tensordot(coeffs, per_base.astype(object), axes=1).tolist()
+        den *= middle.denominator
+        return OperatorMatrix._from_exact_rows(
+            [[Fraction(x, den) for x in row] for row in nums])
+    coeffs = j.scales() * q.scales()
+    return OperatorMatrix(np.einsum("b,bij->ij", coeffs, sums))
 
 
 def _word_set(labels: Sequence[str], max_len: int, cap: int,
@@ -769,6 +872,8 @@ def verify_dilation(triple: DilationTriple, targets: Mapping[str, OperatorMatrix
         raise ValueError("give exactly one of max_len and words")
     if max_len is not None and max_len < 0:
         raise ValueError("max_len must be nonnegative")
+    if word_cap < 1:
+        raise ValueError(f"word_cap must be at least 1, got {word_cap}")
     labels = list(targets)
     if not labels:
         raise ValueError("need at least one target operator")

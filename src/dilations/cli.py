@@ -271,11 +271,24 @@ def _parse_word(text: str, triple) -> tuple[str, ...]:
     return word
 
 
+def _verify(triple, targets, args, max_len=None, words=None):
+    """verify_dilation with the command's tolerance, seed and word cap.
+
+    Arguments it rejects, such as a negative length or a word cap below 1,
+    are input errors.
+    """
+    try:
+        return verify_dilation(triple, targets, max_len, tolerance=args.tolerance,
+                               seed=args.seed, word_cap=args.word_cap, words=words)
+    except ValueError as exc:
+        raise PayloadError(str(exc)) from exc
+
+
 def _cmd_verify(args) -> int:
     payload = _load_json(args.combo)
     combo, p, warnings = _parse_combination(payload, args.p)
-    if args.all_up_to is None and not args.word:
-        raise PayloadError("give --all-up-to n or at least one --word")
+    if (args.all_up_to is None) == (not args.word):
+        raise PayloadError("give exactly one of --all-up-to n and --word (repeatable)")
     params = {"N": args.N, "p": str(p), "label": args.label,
               "all_up_to": args.all_up_to, "words": args.word,
               "tolerance": args.tolerance, "seed": args.seed,
@@ -287,13 +300,10 @@ def _cmd_verify(args) -> int:
         raise PayloadError(str(exc)) from exc
     targets = {args.label: combo.operator()}
     if args.word:
-        vr = verify_dilation(triple, targets, words=[_parse_word(text, triple)
-                                                     for text in args.word],
-                             tolerance=args.tolerance)
+        vr = _verify(triple, targets, args,
+                     words=[_parse_word(text, triple) for text in args.word])
     else:
-        vr = verify_dilation(triple, targets, args.all_up_to,
-                             tolerance=args.tolerance, seed=args.seed,
-                             word_cap=args.word_cap)
+        vr = _verify(triple, targets, args, args.all_up_to)
     results = _word_results(vr.checks)
     provenance = {
         "space_dim": triple.space.dim,
@@ -328,8 +338,7 @@ def _cmd_simultaneous(args) -> int:
     except (ValueError, ModeError) as exc:
         raise PayloadError(str(exc)) from exc
     targets = {name: combo.operator() for name, combo in family.items()}
-    vr = verify_dilation(triple, targets, args.N, tolerance=args.tolerance,
-                         seed=args.seed, word_cap=args.word_cap)
+    vr = _verify(triple, targets, args, args.N)
     results = _word_results(vr.checks)
     provenance = {
         "space_dim": triple.space.dim,
@@ -353,8 +362,7 @@ def _cmd_zero_augment(args) -> int:
     except (ValueError, ModeError) as exc:
         raise PayloadError(str(exc)) from exc
     targets = zero_augment_targets(members)
-    vr = verify_dilation(triple, targets, args.N, tolerance=args.tolerance,
-                         seed=args.seed, word_cap=args.word_cap)
+    vr = _verify(triple, targets, args, args.N)
     results = _word_results(vr.checks)
     provenance = {
         "space_dim": triple.space.dim,
@@ -376,9 +384,7 @@ def _cmd_shift(args) -> int:
         triple = shift_dilation(mat, args.window)
     except (ValueError, ModeError) as exc:
         raise PayloadError(str(exc)) from exc
-    vr = verify_dilation(triple, {"T": mat}, args.window,
-                         tolerance=args.tolerance, seed=args.seed,
-                         word_cap=args.word_cap)
+    vr = _verify(triple, {"T": mat}, args, args.window)
     results = _word_results(vr.checks)
     provenance = {
         "space_dim": triple.space.dim,

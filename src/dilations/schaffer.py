@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .builders import (STACK_BYTES_CAP, ConvexCombination, build_n_dilation,
-                       compressed_power)
+                       compressed_powers)
 from .isometries import decompose_contraction, rationalize_decomposition
 from .linalg import EXACT, OperatorMatrix, PNorm, sym_eig
 
@@ -205,8 +205,8 @@ def cross_validate(T: OperatorMatrix, N: int,
         combo = ConvexCombination(tuple(decomp.factors), tuple(rat_weights))
         triple = build_n_dilation(combo, N, PNorm(2))
         decomp_res = tuple(
-            float(np.max(np.abs(compressed_power(triple, n).to_ndarray() - targets[n])))
-            for n in range(N + 1))
+            float(np.max(np.abs(power.to_ndarray() - targets[n])))
+            for n, power in enumerate(compressed_powers(triple, N)))
     else:
         factors = [f.to_ndarray() for f in decomp.factors]
         compressed = _streamed_powers(factors, rat_weights, N, N)

@@ -520,3 +520,118 @@ def test_size_cap_before_enumeration(monkeypatch):
                               "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))})
     with pytest.raises(ValueError, match="over the cap"):
         build_simultaneous_n_dilation(fam, 20, P3)
+
+
+# ---------------------------------------------------------------------------
+# block-monomial operators
+
+@st.composite
+def _monomial_triple(draw, exact: bool):
+    """Three operators on one random layout, with random perms and sub-blocks.
+
+    Exact entries are fractions whose numerators may reach 2^40, so that
+    products can leave int64; float entries are quarters of small integers,
+    whose products and sums are exact in any order.
+    """
+    count = draw(st.integers(1, 3))
+    copies = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 3))
+    n = count * copies
+    big = draw(st.booleans())
+
+    def entry():
+        if exact:
+            num = draw(st.integers(-2 ** 40, 2 ** 40) if big else st.integers(-9, 9))
+            return F(num, draw(st.sampled_from((1, 1, 2, 3, 5))))
+        return draw(st.integers(-8, 8)) / 4
+
+    def operator():
+        blocks = [OperatorMatrix([[entry() for _ in range(s)] for _ in range(s)],
+                                 EXACT if exact else FLOAT64) for _ in range(n)]
+        perm = [i - i % copies + draw(st.integers(0, copies - 1)) for i in range(n)]
+        return BlockDiagonalOperator.from_blocks(blocks, perm, count)
+
+    return operator(), operator(), operator()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(_monomial_triple))
+def test_block_monomial_product_matches_dense(ops):
+    a, b, c = ops
+    for left, right in ((a, b), (b, a), (a @ b, c)):
+        prod = left @ right
+        assert prod.to_matrix() == left.to_matrix() @ right.to_matrix()
+        assert (prod.count, prod.size, prod.copies) == (a.count, a.size, a.copies)
+    if a.mode == EXACT and a.bound * b.bound >= 2 ** 63:
+        assert (a @ b).stack.dtype == object
+
+
+def test_block_monomial_promotes_past_int64():
+    big = OperatorMatrix([[2 ** 40, 1], [0, -(2 ** 40)]])
+    op = BlockDiagonalOperator.from_blocks([big, I2, SWAP, big], [1, 0, 3, 3], count=2)
+    assert op.stack.dtype == np.int64
+    sq = op @ op
+    assert sq.stack.dtype == object
+    assert sq.to_matrix() == op.to_matrix() @ op.to_matrix()
+    assert sq.to_matrix()[6, 6] == 2 ** 80
+
+
+def test_block_monomial_layout_checks():
+    with pytest.raises(ValueError):
+        BlockDiagonalOperator.from_blocks([I2, I2, I2], count=2)
+    with pytest.raises(ValueError):     # sub-block 1 would leave its outer block
+        BlockDiagonalOperator.from_blocks([I2, I2, I2, I2], [0, 2, 2, 3], count=2)
+    a = BlockDiagonalOperator.from_blocks([I2, SWAP], [1, 0], count=1)
+    with pytest.raises(ValueError):
+        a @ BlockDiagonalOperator.from_blocks([I2, SWAP])
+
+
+def test_n_dilation_u_is_one_sub_block_per_row():
+    combo = _combo((F(1, 3), F(2, 3)))
+    N, d = 3, 2
+    u = build_n_dilation(combo, N, P3).U_family["T"]
+    assert u.stack.shape == (2 ** N * N, d, d) and (u.count, u.copies) == (8, N)
+    rows = np.arange(2 ** N * N)
+    assert u.perm.tolist() == (rows // N * N + (rows + 1) % N).tolist()
+
+
+@pytest.mark.parametrize("members, p", [
+    ({"A": SWAP, "B": NEG}, P3),
+    ({"A": R5, "B": R13, "C": SWAP}, P2),
+    ({"A": OperatorMatrix(np.array([[math.cos(0.4), -math.sin(0.4)],
+                                    [math.sin(0.4), math.cos(0.4)]])),
+      "B": OperatorMatrix(np.array([[math.cos(2.1), math.sin(2.1)],
+                                    [math.sin(2.1), -math.cos(2.1)]]))}, P2),
+], ids=["signed-p3", "rational-p2", "float-p2"])
+def test_zero_augment_compression_matches_dense(members, p):
+    N = 3
+    triple = zero_augment(members, N, p)
+    q, j = triple.Q.to_matrix(), triple.J.to_matrix()
+    for n in range(N + 1):
+        for word in itertools.product(tuple(members) + ("0",), repeat=n):
+            dense = OperatorMatrix.identity(j.rows, triple.mode)
+            for lbl in word:
+                dense = dense @ triple.U_family[lbl].to_matrix()
+            want = (q @ dense) @ j
+            assert compress_word(triple, word) == want
+
+
+def test_compressed_powers_repeat_compressed_power():
+    theta = 0.9
+    rot = OperatorMatrix(np.array([[math.cos(theta), -math.sin(theta)],
+                                   [math.sin(theta), math.cos(theta)]]))
+    for combo, p in ((ConvexCombination((rot, rot.transpose(), NEG.to_float()),
+                                        (F(1, 2), F(1, 3), F(1, 6))), P2),
+                     (ConvexCombination((R5, R13), (F(1, 4), F(3, 4))), P2),
+                     (_combo((F(1, 3), F(2, 3))), P3)):
+        triple = build_n_dilation(combo, 3, p)
+        powers = builders.compressed_powers(triple, 3)
+        assert powers == [compressed_power(triple, n) for n in range(4)]
+
+
+@pytest.mark.parametrize("word_cap", [0, -4])
+def test_verify_rejects_word_cap_below_one(word_cap):
+    combo = _combo((F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 2, P3)
+    with pytest.raises(ValueError, match="word_cap"):
+        verify_dilation(triple, {"T": combo.operator()}, 2, word_cap=word_cap)

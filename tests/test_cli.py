@@ -80,6 +80,53 @@ def test_verify_needs_word_selection(tmp_path, capsys):
     assert code == 2
 
 
+def _family_payload():
+    return {"p": "3", "members": {
+        "A": {"isometries": [_mat([[1, 0], [0, 1]]), _mat([[0, 1], [1, 0]])],
+              "weights": ["1/2", "1/2"]}}}
+
+
+def _augment_payload():
+    return {"p": "3", "members": {"A": _mat([[0, 1], [1, 0]])}}
+
+
+@pytest.mark.parametrize("cap", ["0", "-4"])
+@pytest.mark.parametrize("command", ["verify", "simultaneous", "zero-augment", "shift"])
+def test_word_cap_below_one_is_input_error(command, cap, tmp_path, capsys):
+    # a cap below 1 checks no word at all; it must not read as a pass
+    argv = {
+        "verify": ["verify", "--combo", _write(tmp_path, "c.json", _combo_payload()),
+                   "--N", "2", "--all-up-to", "3"],
+        "simultaneous": ["simultaneous", "--family",
+                         _write(tmp_path, "f.json", _family_payload()), "--N", "2"],
+        "zero-augment": ["zero-augment", "--family",
+                         _write(tmp_path, "a.json", _augment_payload()), "--N", "2"],
+        "shift": ["shift", "--matrix", _write(tmp_path, "m.json", _mat([["1/2"]])),
+                  "--window", "2"],
+    }[command]
+    code = run(argv + ["--word-cap", cap])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "word_cap must be at least 1" in captured.err
+
+
+def test_negative_word_length_is_input_error(tmp_path, capsys):
+    combo = _write(tmp_path, "combo.json", _combo_payload())
+    code = run(["verify", "--combo", combo, "--N", "2", "--all-up-to", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "nonnegative" in captured.err
+
+
+def test_verify_rejects_both_word_selections(tmp_path, capsys):
+    combo = _write(tmp_path, "combo.json", _combo_payload())
+    code = run(["verify", "--combo", combo, "--N", "2", "--all-up-to", "2",
+                "--word", "T,T"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "exactly one of --all-up-to" in captured.err
+
+
 def test_unknown_label_is_input_error(tmp_path, capsys):
     combo = _write(tmp_path, "combo.json", _combo_payload())
     code = run(["verify", "--combo", combo, "--N", "1", "--word", "X"])

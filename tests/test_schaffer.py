@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dilations.builders import BlockDiagonalOperator
 from dilations.linalg import OperatorMatrix, operator_residual
 from dilations.schaffer import (_streamed_powers, cross_validate, defect_root,
                                 schaffer_dilation, spectral_norm)
@@ -145,6 +146,24 @@ def test_cross_validate_random_contraction():
     assert report.max_oracle <= 1e-9
     assert report.max_decomposition <= 1e-6
     assert report.rationalization_error <= 1e-8
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_cross_validate_runs_one_product_per_power(N, monkeypatch):
+    """The decomposition curve multiplies one running product: N - 1 block products."""
+    products = []
+    matmul = BlockDiagonalOperator.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(BlockDiagonalOperator, "__matmul__", counted)
+    T = _random_contraction(np.random.default_rng(5), 3)
+    report = cross_validate(T, N)
+    assert len(report.decomposition_residuals) == N + 1
+    assert report.max_decomposition <= 1e-6
+    assert len(products) == max(N - 1, 0)
 
 
 def test_cross_validate_caps():
