@@ -22,13 +22,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .cyclic import enumerate_indices, weight_of
 from .linalg import (EXACT, FLOAT64, ModeError, OperatorMatrix, PNorm,
                      SpaceDescriptor, as_fraction, block_diag,
                      lp_norm_pow_p, operator_residual)
@@ -105,77 +103,68 @@ class ConvexCombination:
         return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledBlockMap:
     """Embedding or read-out with per-block coefficients kept factored.
 
-    An "embed" map sends x to one block per base, each block holding
-    `copies` copies of x scaled by base**exponent.  A "readout" map sums
-    the coordinates of every block, scaling block b by bases[b]**exponent.
-    The exponents of a builder's J and Q add up to 1, so composing through
-    a block-diagonal middle factor multiplies matching bases back into
-    plain rationals; nothing irrational is ever evaluated in exact mode.
+    Block b has the base ``class_bases[classes[b]]``: the builders hand over
+    one base per weight class and each block's class, so no per-block base is
+    stored.  Without `classes` there is one block per base.  An "embed" map
+    sends x to one block per class entry, each block holding `copies` copies
+    of x scaled by base**exponent.  A "readout" map sums the coordinates of
+    every block, scaling each by its base**exponent.  The exponents of a
+    builder's J and Q add up to 1, so composing through a block-diagonal
+    middle factor multiplies matching bases back into plain rationals;
+    nothing irrational is ever evaluated in exact mode.
     """
 
     orientation: str            # "embed" | "readout"
-    bases: tuple[Fraction, ...]
+    class_bases: tuple[Fraction, ...]
     exponent: Fraction
     copies: int
     dim: int
     mode: str
+    classes: np.ndarray | None = None
 
     def __post_init__(self):
         if self.orientation not in ("embed", "readout"):
             raise ValueError("orientation must be 'embed' or 'readout'")
-        if not self.bases:
+        if not self.class_bases:
             raise ValueError("need at least one block")
-        if any(b <= 0 for b in self.base_classes[0]):
+        if any(b <= 0 for b in self.class_bases):
             raise ValueError("bases must be positive rationals")
         if not (0 < self.exponent < 1):
             raise ValueError("exponent must lie strictly between 0 and 1")
         if self.copies < 1 or self.dim < 1:
             raise ValueError("copies and dim must be positive")
+        classes = (np.arange(len(self.class_bases)) if self.classes is None
+                   else np.asarray(self.classes))
+        if (classes.ndim != 1 or not len(classes)
+                or not np.issubdtype(classes.dtype, np.integer)
+                or classes.min() < 0 or classes.max() >= len(self.class_bases)):
+            raise ValueError("classes must give every block an index into the bases")
+        object.__setattr__(self, "classes", classes)
 
     @property
     def block_count(self) -> int:
-        return len(self.bases)
+        return len(self.classes)
 
     @property
-    def big_dim(self) -> int:
-        return self.block_count * self.copies * self.dim
-
-    @cached_property
-    def base_classes(self) -> tuple[tuple[Fraction, ...], np.ndarray]:
-        """The distinct bases in order of first appearance, and each block's class."""
-        index: dict[tuple[int, int], int] = {}
-        inverse = np.array([index.setdefault((b.numerator, b.denominator), len(index))
-                            for b in self.bases])
-        inverse.setflags(write=False)
-        return tuple(Fraction(n, d) for n, d in index), inverse
+    def bases(self) -> tuple[Fraction, ...]:
+        """Each block's base, expanded from the class index."""
+        return tuple(self.class_bases[c] for c in self.classes.tolist())
 
     def scales(self) -> np.ndarray:
-        """base**exponent per block, evaluated once per distinct base."""
+        """base**exponent per block, evaluated once per class."""
         e = float(self.exponent)
-        distinct, inverse = self.base_classes
-        return np.array([float(b) ** e for b in distinct])[inverse]
+        return np.array([float(b) ** e for b in self.class_bases])[self.classes]
 
     def to_matrix(self) -> OperatorMatrix:
         """Materialize as a float64 matrix (the scales are irrational)."""
-        d, big = self.dim, self.big_dim
-        scales = self.scales()
-        if self.orientation == "embed":
-            out = np.zeros((big, d))
-        else:
-            out = np.zeros((d, big))
-        at = 0
-        for s in scales:
-            for _ in range(self.copies):
-                if self.orientation == "embed":
-                    out[at:at + d, :] = s * np.eye(d)
-                else:
-                    out[:, at:at + d] = s * np.eye(d)
-                at += d
-        return OperatorMatrix(out)
+        scales = np.repeat(self.scales(), self.copies * self.dim)
+        embed = np.tile(np.eye(self.dim), (self.block_count * self.copies, 1))
+        embed *= scales[:, None]
+        return OperatorMatrix(embed if self.orientation == "embed" else embed.T)
 
     def image_norm_pow_p(self, x: Sequence, norm: PNorm) -> Fraction:
         """Exact sum of |(Jx)_i|^p for an embed map with exponent 1/p.
@@ -189,8 +178,9 @@ class ScaledBlockMap:
         if e.denominator != 1:
             raise ValueError("p does not cancel this map's exponent exactly")
         body = lp_norm_pow_p(x, norm)
-        factor = sum((b ** int(e)) * self.copies for b in self.bases)
-        return factor * body
+        blocks = np.bincount(self.classes, minlength=len(self.class_bases)).tolist()
+        factor = sum(b ** int(e) * k for b, k in zip(self.class_bases, blocks))
+        return factor * self.copies * body
 
 
 @dataclass(frozen=True)
@@ -450,27 +440,65 @@ def _alpha_blocks(isos, slots: np.ndarray, N: int, mode: str) -> BlockDiagonalOp
                                      den, bound)
 
 
-def _slot_array(m: int, N: int, d: int, stacks: int = 1):
-    """The m^N multi-indices and their (m^N, N) array of 0-based symbols.
+def _rows_under_cap(N: int, d: int, stacks: int = 1) -> int:
+    """Alpha rows whose `stacks` U stacks fit STACK_BYTES_CAP: N*d*d entries a row."""
+    return STACK_BYTES_CAP // (stacks * N * d * d * 8)
 
-    Raises ValueError before enumerating anything when the U stacks, `stacks`
-    of them with m^N blocks of size N*d in 8-byte entries, would exceed
-    STACK_BYTES_CAP.  The stacks hold only N of each block's N^2 sub-blocks,
-    so this estimate is N times their real size.
-    """
-    nbytes = stacks * m ** N * (N * d) ** 2 * 8
-    if nbytes > STACK_BYTES_CAP:
+
+def _check_size(m: int, N: int, d: int, stacks: int = 1):
+    """Refuse, before anything is enumerated, U stacks over STACK_BYTES_CAP."""
+    rows = _rows_under_cap(N, d, stacks)
+    if m ** N > rows:
         raise ValueError(
-            f"dilation too large: {stacks} x {m}^{N} blocks of size {N * d} need "
-            f"{nbytes} bytes, over the cap of {STACK_BYTES_CAP} bytes")
-    indices = enumerate_indices(m, N)
-    return indices, np.array([alpha.values for alpha in indices], dtype=np.intp) - 1
+            f"dilation too large: {stacks} x {m}^{N} blocks of {N} sub-blocks of size {d} "
+            f"are over the cap of {STACK_BYTES_CAP} bytes, which holds {rows} blocks")
 
 
-def _validated_combo(combo: ConvexCombination, p: PNorm) -> ConvexCombination:
+def _slot_rows(m: int, N: int, start: int, stop: int) -> np.ndarray:
+    """Alpha rows start..stop-1 as a (stop - start, N) array of 0-based symbols.
+
+    The alphas run over {0..m-1}^N in lexicographic order, so row r spells r
+    in base m with slot 0 the most significant digit.
+    """
+    return np.arange(start, stop)[:, None] // m ** np.arange(N - 1, -1, -1) % m
+
+
+def _scaled_maps(bases, classes, N: int, d: int, p: PNorm, mode: str):
+    """J and Q of an N-dilation: powers 1/p and 1/q of the same block bases."""
+    one_over_p = 1 / p.p
+    return (ScaledBlockMap("embed", bases, one_over_p, N, d, mode, classes),
+            ScaledBlockMap("readout", bases, 1 - one_over_p, N, d, mode, classes))
+
+
+def _validated_combo(combo: ConvexCombination, N: int, p: PNorm) -> ConvexCombination:
+    if N < 1:
+        raise ValueError("N must be at least 1")
     names = combo.labels or tuple(f"term {i}" for i in range(combo.m))
     _require_isometries(zip(names, combo.isometries), p)
     return combo
+
+
+def _n_dilation(combo: ConvexCombination, N: int, p: PNorm, label: str,
+                start: int, stop: int) -> DilationTriple:
+    """The N-dilation triple restricted to alpha rows start..stop-1."""
+    m, d, mode = combo.m, combo.dim, combo.mode
+    slots = _slot_rows(m, N, start, stop)
+    # weight(alpha) depends only on the multiset of alpha's symbols, which the
+    # sorted slots spell in base m (below m^N, which int64 holds for any
+    # dilation whose alpha rows can be enumerated at all)
+    key = np.sort(slots, axis=1) @ m ** np.arange(N)
+    _, first, classes = np.unique(key, return_index=True, return_inverse=True)
+    ws = combo.weights
+    bases = tuple(Fraction(math.prod(ws[s].numerator for s in row),
+                           N * math.prod(ws[s].denominator for s in row))
+                  for row in slots[first].tolist())
+    j, q = _scaled_maps(bases, classes, N, d, p, mode)
+    structure = f"l^{p} direct sum of N*m^N copies of X, N={N}, m={m}, dim X={d}"
+    if stop - start < m ** N:
+        structure += f", alpha rows {start} to {stop - 1}"
+    space = SpaceDescriptor(N * (stop - start) * d, p, structure)
+    u = _alpha_blocks(combo.isometries, slots, N, mode)
+    return DilationTriple(space, j, q, {label: u}, N, mode)
 
 
 def build_n_dilation(combo: ConvexCombination, N: int, p: PNorm,
@@ -484,25 +512,24 @@ def build_n_dilation(combo: ConvexCombination, N: int, p: PNorm,
     slot; the block's share of the weight, weight(alpha)/N, is split between
     J (power 1/p) and Q (power 1/q).
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    combo = _validated_combo(combo, p)
-    m, d, mode = combo.m, combo.dim, combo.mode
-    indices, slots = _slot_array(m, N, d)
-    # weight(alpha) depends only on the multiset of alpha's symbols, which the
-    # sorted slots spell in base m (below m^N, so within int64 under the cap)
-    key = np.sort(slots, axis=1) @ m ** np.arange(N)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    class_bases = [weight_of(indices[i], combo.weights) / N for i in first]
-    bases = tuple([class_bases[c] for c in inverse.tolist()])
-    u = _alpha_blocks(combo.isometries, slots, N, mode)
-    one_over_p = 1 / p.p
-    j = ScaledBlockMap("embed", bases, one_over_p, N, d, mode)
-    q = ScaledBlockMap("readout", bases, 1 - one_over_p, N, d, mode)
-    dim = N * m ** N * d
-    space = SpaceDescriptor(
-        dim, p, f"l^{p} direct sum of N*m^N copies of X, N={N}, m={m}, dim X={d}")
-    return DilationTriple(space, j, q, {label: u}, N, mode)
+    combo = _validated_combo(combo, N, p)
+    _check_size(combo.m, N, combo.dim)
+    return _n_dilation(combo, N, p, label, 0, combo.m ** N)
+
+
+def build_n_dilation_parts(combo: ConvexCombination, N: int, p: PNorm,
+                           label: str = "T") -> Iterator[DilationTriple]:
+    """build_n_dilation's triple over consecutive alpha ranges, each within the size cap.
+
+    U is block diagonal over alpha and J, Q act block by block, so Q U^n J
+    of the whole dilation is the sum of the parts' compressions.  When the
+    whole stack fits the cap there is one part, build_n_dilation's triple.
+    """
+    combo = _validated_combo(combo, N, p)
+    step = _rows_under_cap(N, combo.dim)
+    total = combo.m ** N
+    for start in range(0, total, step):
+        yield _n_dilation(combo, N, p, label, start, min(start + step, total))
 
 
 def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
@@ -514,8 +541,6 @@ def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
     the block space and the constant base 1/(N*m^N), and words mixing the
     members' isometries verify up to length N.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
     members = list(family.items())
     if not members:
         raise ValueError("need at least one family member")
@@ -529,14 +554,13 @@ def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
             raise ValueError("family members must share dimension and mode")
         if any(w != Fraction(1, m) for w in combo.weights):
             raise ValueError(f"member {name!r} is not in equal-weight form")
-        _validated_combo(combo, p)
-    _, slots = _slot_array(m, N, d, stacks=len(members))
-    bases = (Fraction(1, N * m ** N),) * len(slots)
+        _validated_combo(combo, N, p)
+    _check_size(m, N, d, stacks=len(members))
+    slots = _slot_rows(m, N, 0, m ** N)
     u_family = {name: _alpha_blocks(combo.isometries, slots, N, mode)
                 for name, combo in members}
-    one_over_p = 1 / p.p
-    j = ScaledBlockMap("embed", bases, one_over_p, N, d, mode)
-    q = ScaledBlockMap("readout", bases, 1 - one_over_p, N, d, mode)
+    j, q = _scaled_maps((Fraction(1, N * m ** N),), np.zeros(len(slots), dtype=np.intp),
+                        N, d, p, mode)
     dim = N * m ** N * d
     space = SpaceDescriptor(
         dim, p,
@@ -745,7 +769,8 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
         if middle.perm[0] != 0:
             return OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
         return _block_matrix(middle.stack[0], middle.mode, middle.denominator)
-    if not isinstance(q, ScaledBlockMap) or q.bases != j.bases:
+    if (not isinstance(q, ScaledBlockMap) or q.class_bases != j.class_bases
+            or (q.classes is not j.classes and not np.array_equal(q.classes, j.classes))):
         raise ValueError("J and Q block scalings do not match")
     if j.exponent + q.exponent != 1:
         raise ValueError("J and Q exponents must sum to 1")
@@ -760,12 +785,12 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
     sums = stack.reshape(count, copies, d, d).sum(axis=1)
     if triple.mode == EXACT:
         # the exponents cancel, so block b contributes bases[b] * sums[b];
-        # sum the integer blocks per distinct base, then scale once per base
-        distinct, inverse = j.base_classes
-        per_base = np.zeros((len(distinct), d, d), dtype=sums.dtype)
-        np.add.at(per_base, inverse, sums)
-        den = math.lcm(*(b.denominator for b in distinct))
-        coeffs = np.array([b.numerator * (den // b.denominator) for b in distinct],
+        # sum the integer blocks per class, then scale once per class base
+        bases = j.class_bases
+        per_base = np.zeros((len(bases), d, d), dtype=sums.dtype)
+        np.add.at(per_base, j.classes, sums)
+        den = math.lcm(*(b.denominator for b in bases))
+        coeffs = np.array([b.numerator * (den // b.denominator) for b in bases],
                           dtype=object)
         nums = np.tensordot(coeffs, per_base.astype(object), axes=1).tolist()
         den *= middle.denominator
@@ -889,6 +914,8 @@ def verify_dilation(triple: DilationTriple, targets: Mapping[str, OperatorMatrix
         words = _word_set(labels, max_len, word_cap, random.Random(seed))
     else:
         words = [tuple(w) for w in words]
+        if not words:
+            raise ValueError("need at least one word to check")
         for word in words:
             for lbl in word:
                 if lbl not in targets:

@@ -35,6 +35,7 @@ from .schaffer import cross_validate, schaffer_dilation
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SEED = 42
+ENUMERATION_CAP = 10 ** 6     # words that orbit and identity-check may enumerate
 _ORTHOGONALITY_TOL = 1e-10
 _CROSS_TOL = 1e-6
 
@@ -514,9 +515,23 @@ def _word_sum_residual(diff) -> float:
     return max(abs(float(c)) for _, c in diff.terms())
 
 
-def _cmd_identity_check(args) -> int:
-    if args.m < 1 or args.N < 1:
+def _check_enumeration(m: int, N: int, per_index: int):
+    """Refuse, before enumerating, per_index * m^N words over ENUMERATION_CAP.
+
+    For m >= 2 the count at least doubles with each slot, so the power is
+    taken to at most the cap's bit length and a huge N is refused at once.
+    """
+    if m < 1 or N < 1:
         raise PayloadError("m and N must be positive")
+    if per_index * m ** min(N, ENUMERATION_CAP.bit_length()) > ENUMERATION_CAP:
+        raise PayloadError(f"{m}^{N} multi-indices give over {ENUMERATION_CAP} "
+                           "words to enumerate")
+
+
+def _cmd_identity_check(args) -> int:
+    if args.trials < 0:
+        raise PayloadError("--trials must be nonnegative")
+    _check_enumeration(args.m, args.N, (args.trials + 1) * (args.N + 1) * args.N)
     params = {"m": args.m, "N": args.N, "trials": args.trials,
               "seed": args.seed}
     input_hash = _hash_inputs("identity-check", None, params)
@@ -595,8 +610,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    if args.m < 1 or args.N < 1:
-        raise PayloadError("m and N must be positive")
+    _check_enumeration(args.m, args.N, args.N)
     params = {"m": args.m, "N": args.N}
     input_hash = _hash_inputs("orbit", None, params)
     partition = orbit_partition(args.m, args.N)
@@ -730,6 +744,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise PayloadError(f"--tolerance must be finite and nonnegative, "
+                               f"got {args.tolerance!r}")
         return args.func(args)
     except PayloadError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,15 +11,12 @@ on the convex-combination pipeline in the Hilbert case p = 2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .builders import (STACK_BYTES_CAP, ConvexCombination, build_n_dilation,
-                       compressed_powers)
+from .builders import ConvexCombination, build_n_dilation_parts, compressed_powers
 from .isometries import decompose_contraction, rationalize_decomposition
 from .linalg import EXACT, OperatorMatrix, PNorm, sym_eig
 
@@ -133,42 +130,6 @@ class CrossValidationReport:
         return max(self.decomposition_residuals)
 
 
-def _streamed_powers(factors: list[np.ndarray], weights: list[Fraction],
-                     N: int, n_max: int, chunk: int = 4096) -> list[np.ndarray]:
-    """Compressed powers of the cyclic dilation, block-streamed.
-
-    Mathematically identical to building the full block-diagonal operator
-    and compressing, but only `chunk` alpha-blocks are materialized at a
-    time, so large m^N stays affordable.
-    """
-    m = len(factors)
-    d = factors[0].shape[0]
-    s = N * d
-    out = [np.zeros((d, d)) for _ in range(n_max + 1)]
-    alphas = itertools.product(range(m), repeat=N)
-    while True:
-        batch = list(itertools.islice(alphas, chunk))
-        if not batch:
-            break
-        b = len(batch)
-        stack = np.zeros((b, s, s))
-        coeffs = np.empty(b)
-        for idx, alpha in enumerate(batch):
-            w = Fraction(1)
-            for k in range(N):
-                stack[idx, k * d:(k + 1) * d,
-                      ((k + 1) % N) * d:(((k + 1) % N) + 1) * d] = factors[alpha[k]]
-                w *= weights[alpha[k]]
-            coeffs[idx] = float(w / N)
-        power = np.broadcast_to(np.eye(s), (b, s, s)).copy()
-        for n in range(n_max + 1):
-            if n:
-                power = np.matmul(power, stack)
-            sums = power.reshape(b, N, d, N, d).sum(axis=(1, 3))
-            out[n] += np.einsum("b,bij->ij", coeffs, sums)
-    return out
-
-
 def cross_validate(T: OperatorMatrix, N: int,
                    snap_denominator: int = _CROSS_SNAP_DENOMINATOR) -> CrossValidationReport:
     """Run both dilation routes on a Hilbert-space contraction and compare.
@@ -199,19 +160,11 @@ def cross_validate(T: OperatorMatrix, N: int,
     weight_sum = float(sum(decomp.weights))
     recon_err = float(np.max(np.abs(decomp.reconstruct().to_ndarray() - a)))
     rat_weights, rat_err = rationalize_decomposition(decomp, snap_denominator)
-    m = len(rat_weights)
-    stack_bytes = (m ** N) * (N * d) ** 2 * 8
-    if stack_bytes <= STACK_BYTES_CAP:
-        combo = ConvexCombination(tuple(decomp.factors), tuple(rat_weights))
-        triple = build_n_dilation(combo, N, PNorm(2))
-        decomp_res = tuple(
-            float(np.max(np.abs(power.to_ndarray() - targets[n])))
-            for n, power in enumerate(compressed_powers(triple, N)))
-    else:
-        factors = [f.to_ndarray() for f in decomp.factors]
-        compressed = _streamed_powers(factors, rat_weights, N, N)
-        decomp_res = tuple(
-            float(np.max(np.abs(compressed[n] - targets[n])))
-            for n in range(N + 1))
+    combo = ConvexCombination(tuple(decomp.factors), tuple(rat_weights))
+    parts = [compressed_powers(part, N)
+             for part in build_n_dilation_parts(combo, N, PNorm(2))]
+    decomp_res = tuple(
+        float(np.max(np.abs(sum(powers[1:], powers[0]).to_ndarray() - targets[n])))
+        for n, powers in enumerate(zip(*parts)))
     return CrossValidationReport(d, N, oracle_res, decomp_res,
                                  recon_err, weight_sum, rat_err)

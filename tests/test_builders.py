@@ -513,13 +513,25 @@ def test_size_cap_before_enumeration(monkeypatch):
     def never(*args):
         raise AssertionError("indices enumerated past the size cap")
 
-    monkeypatch.setattr(builders, "enumerate_indices", never)
+    monkeypatch.setattr(builders, "_slot_rows", never)
     with pytest.raises(ValueError, match="over the cap"):
         build_n_dilation(_combo((F(1, 2), F(1, 2))), 20, P3)
     fam = rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
                               "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))})
     with pytest.raises(ValueError, match="over the cap"):
         build_simultaneous_n_dilation(fam, 20, P3)
+
+
+def test_size_cap_counts_the_real_stack():
+    # m = 2, N = 16, d = 2: 2^16 blocks of 16 sub-blocks of 2 x 2 are 32 MiB;
+    # counted as dense (32 x 32) blocks they were 512 MiB and refused
+    combo = _combo((F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 16, P3)
+    u = triple.U_family["T"]
+    assert u.stack.nbytes == 32 * 2 ** 20 <= builders.STACK_BYTES_CAP
+    assert compress_word(triple, ("T",)) == combo.operator()
+    with pytest.raises(ValueError, match="over the cap"):
+        build_n_dilation(combo, 17, P3)
 
 
 # ---------------------------------------------------------------------------
@@ -635,3 +647,11 @@ def test_verify_rejects_word_cap_below_one(word_cap):
     triple = build_n_dilation(combo, 2, P3)
     with pytest.raises(ValueError, match="word_cap"):
         verify_dilation(triple, {"T": combo.operator()}, 2, word_cap=word_cap)
+
+
+def test_verify_rejects_empty_word_list():
+    # an empty explicit word list checks no word; it must not read as a pass
+    combo = _combo((F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 2, P3)
+    with pytest.raises(ValueError, match="at least one word"):
+        verify_dilation(triple, {"T": combo.operator()}, words=[])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dilations import builders
+from dilations import builders, cli
 from dilations.builders import ConvexCombination
 from dilations.cli import run
 from dilations.linalg import OperatorMatrix, PNorm
@@ -385,3 +385,46 @@ def test_oversized_dilation_is_input_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "dilation too large" in err and "over the cap" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["verify", "oracle", "decompose"])
+def test_bad_tolerance_is_input_error(command, tolerance, tmp_path, capsys):
+    # a NaN or negative tolerance fails every float check of a correct input;
+    # it must be refused as input, not reported as a verification failure
+    float_combo = {"p": "3", "isometries": [_mat([[1.0, 0.0], [0.0, 1.0]]),
+                                            _mat([[0.0, 1.0], [1.0, 0.0]])],
+                   "weights": ["1/3", "2/3"]}
+    matrix = _write(tmp_path, "m.json", _mat([[0.5, 0.1], [0.0, 0.6]]))
+    argv = {
+        "verify": ["verify", "--combo", _write(tmp_path, "c.json", float_combo),
+                   "--N", "2", "--all-up-to", "2"],
+        "oracle": ["oracle", "--matrix", matrix, "--N", "2"],
+        "decompose": ["decompose", "--matrix", matrix],
+    }[command]
+    assert run(argv) == 0
+    capsys.readouterr()
+    code = run(argv + ["--tolerance", tolerance])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--tolerance must be finite and nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--m", "10", "--N", "12"],
+    ["orbit", "--m", "2", "--N", "16"],
+    ["orbit", "--m", "2", "--N", "1000000000000"],
+    ["identity-check", "--m", "10", "--N", "12"],
+    ["identity-check", "--m", "1", "--N", "1000"],
+    ["identity-check", "--m", "2", "--N", "3", "--trials", "-1"],
+])
+def test_enumeration_over_the_cap_is_input_error(argv, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("multi-indices enumerated past the cap")
+
+    for name in ("orbit_partition", "lhs_word_sum", "rhs_word_sum"):
+        monkeypatch.setattr(cli, name, never)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "words to enumerate" in captured.err or "--trials" in captured.err

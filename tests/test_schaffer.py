@@ -1,16 +1,21 @@
 """Block-unitary dilations on Hilbert space and the cross-validation bridge."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilations.builders import BlockDiagonalOperator
-from dilations.linalg import OperatorMatrix, operator_residual
-from dilations.schaffer import (_streamed_powers, cross_validate, defect_root,
-                                schaffer_dilation, spectral_norm)
+from dilations import builders
+from dilations.builders import (BlockDiagonalOperator, ConvexCombination,
+                                build_n_dilation, build_n_dilation_parts,
+                                compressed_powers)
+from dilations.isometries import decompose_contraction, rationalize_decomposition
+from dilations.linalg import OperatorMatrix, PNorm, operator_residual
+from dilations.schaffer import (cross_validate, defect_root, schaffer_dilation,
+                                spectral_norm)
 
 
 def _random_contraction(rng, d, scale=0.9):
@@ -173,20 +178,47 @@ def test_cross_validate_caps():
         cross_validate(OperatorMatrix(np.zeros((2, 2))), 5)
 
 
-def test_streamed_powers_match_small_dense():
-    """Chunked streaming equals the dense block computation it replaces."""
-    rng = np.random.default_rng(17)
-    d, N = 2, 2
-    T = _random_contraction(rng, d)
-    from dilations.isometries import (decompose_contraction,
-                                      rationalize_decomposition)
+def test_alpha_ranges_sum_to_the_whole_dilation(monkeypatch):
+    """Compressions summed over small alpha ranges equal the one-range dilation."""
+    d, N, p2 = 2, 2, PNorm(2)
+    T = _random_contraction(np.random.default_rng(17), d)
     decomp = decompose_contraction(T)
     weights, _ = rationalize_decomposition(decomp, 10 ** 9)
-    factors = [f.to_ndarray() for f in decomp.factors]
-    streamed = _streamed_powers(factors, list(weights), N, N, chunk=3)
-    onepass = _streamed_powers(factors, list(weights), N, N, chunk=10 ** 6)
-    for a, b in zip(streamed, onepass):
-        assert np.max(np.abs(a - b)) < 1e-12
-    target = sum(float(w) * f for w, f in zip(weights, factors))
-    for n in range(N + 1):
-        assert np.max(np.abs(streamed[n] - np.linalg.matrix_power(target, n))) < 1e-9
+    float_combo = ConvexCombination(tuple(decomp.factors), tuple(weights))
+    r5 = OperatorMatrix([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])
+    exact_combo = ConvexCombination(
+        (r5, r5.transpose(), OperatorMatrix([[0, 1], [1, 0]])), (F(1, 6), F(1, 2), F(1, 3)))
+    combos = (float_combo, exact_combo)
+    whole = [compressed_powers(build_n_dilation(c, N, p2), N) for c in combos]
+    assert len(list(build_n_dilation_parts(float_combo, N, p2))) == 1
+    report = cross_validate(T, N)
+
+    # three alpha rows per range
+    monkeypatch.setattr(builders, "STACK_BYTES_CAP", 3 * N * d * d * 8)
+    for combo, one_range in zip(combos, whole):
+        parts = [compressed_powers(part, N) for part in build_n_dilation_parts(combo, N, p2)]
+        assert len(parts) == -(-combo.m ** N // 3) > 1
+        summed = [sum(powers[1:], powers[0]) for powers in zip(*parts)]
+        target = combo.operator()
+        for n in range(N + 1):
+            want = np.linalg.matrix_power(target.to_float().to_ndarray(), n)
+            if combo is exact_combo:
+                assert summed[n] == one_range[n] == target.power(n)
+            else:
+                assert np.max(np.abs(summed[n].to_ndarray()
+                                     - one_range[n].to_ndarray())) < 1e-12
+            assert np.max(np.abs(summed[n].to_float().to_ndarray() - want)) < 1e-9
+    ranged = cross_validate(T, N)
+    assert np.max(np.abs(np.subtract(ranged.decomposition_residuals,
+                                     report.decomposition_residuals))) < 1e-12
+
+
+def test_cross_validate_at_the_old_streamed_size():
+    """d = 4, N = 4: 16^4 alpha blocks, once past the dense count of the size cap."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((4, 4))
+    T = OperatorMatrix(0.95 * a / np.linalg.svd(a)[1][0])
+    assert len(decompose_contraction(T).terms) == 16
+    report = cross_validate(T, 4)
+    assert len(report.decomposition_residuals) == 5
+    assert report.max_decomposition <= 1e-6
