@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -131,7 +133,8 @@ class ScaledBlockMap:
             raise ValueError("orientation must be 'embed' or 'readout'")
         if not self.class_bases:
             raise ValueError("need at least one block")
-        if any(b <= 0 for b in self.class_bases):
+        # a Fraction keeps its sign on the numerator
+        if any(b.numerator <= 0 for b in self.class_bases):
             raise ValueError("bases must be positive rationals")
         if not (0 < self.exponent < 1):
             raise ValueError("exponent must lie strictly between 0 and 1")
@@ -155,9 +158,29 @@ class ScaledBlockMap:
         return tuple(self.class_bases[c] for c in self.classes.tolist())
 
     def scales(self) -> np.ndarray:
-        """base**exponent per block, evaluated once per class."""
+        """base**exponent per block, evaluated once per class and map (read-only)."""
+        return self._scales
+
+    @cached_property
+    def _scales(self) -> np.ndarray:
         e = float(self.exponent)
-        return np.array([float(b) ** e for b in self.class_bases])[self.classes]
+        out = np.array([float(b) ** e for b in self.class_bases])[self.classes]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _numerators(self) -> tuple[int, np.ndarray, int]:
+        """The bases as integers over one denominator: (D, per-block numerators, their sum).
+
+        The per-block array is int64 when every numerator fits, else Python
+        ints; the sum bounds any integer combination of them with entries of
+        absolute value at most 1.
+        """
+        den = math.lcm(*(b.denominator for b in self.class_bases))
+        nums = [b.numerator * (den // b.denominator) for b in self.class_bases]
+        counts = np.bincount(self.classes, minlength=len(nums)).tolist()
+        dtype = np.int64 if max(nums) < _INT64_LIMIT else object
+        return den, np.array(nums, dtype=dtype)[self.classes], sum(map(operator.mul, nums, counts))
 
     def to_matrix(self) -> OperatorMatrix:
         """Materialize as a float64 matrix (the scales are irrational)."""
@@ -204,26 +227,37 @@ class FirstBlockMap:
 class BlockDiagonalOperator:
     """Direct sum of `count` equal square blocks, each one block-monomial.
 
-    The operator is a grid of s x s sub-blocks with exactly one stored
-    sub-block per block row: ``stack[i]`` sits in block row i and block
-    column ``perm[i]``, and the rest of the row is zero.  Each outer block
-    of ``size`` = copies * s spans `copies` consecutive block rows, and
-    ``perm`` never leaves its outer block.  Plain block-diagonal operators
-    have ``perm = arange`` and one sub-block per outer block.
+    The operator is a grid of s x s sub-blocks with exactly one nonzero
+    sub-block per block row.  It is stored in one of two layouts.
 
-    A product is one gather and one batched ``np.matmul``: row i of A @ B is
-    ``A.stack[i] @ B.stack[A.perm[i]]`` in column ``B.perm[A.perm[i]]``.
-    Both modes keep the stack as a numpy array.  In float mode it holds the
-    entries and the denominator is 1.  In exact mode it holds integer
-    numerators over one common positive ``denominator``: signed permutations
-    have D = 1, rational orthogonal matrices D = 5, 13, 65, ....  ``bound``
-    caps the largest absolute row sum of the numerators; it multiplies along
+    Plain layout (``tau`` is None): ``stack[i]`` sits in block row i and
+    block column ``perm[i]``.  Each outer block of ``size`` = copies * s
+    spans `copies` consecutive block rows, and ``perm`` never leaves its
+    outer block.  Plain block-diagonal operators have ``perm = arange`` and
+    one sub-block per outer block.
+
+    Slot-0 layout (the N-dilation builders): ``stack[a]`` is only the
+    sub-block in block row 0 of outer block a, and ``tau`` is a permutation
+    of the outer blocks (the slot rotation).  Block row k of outer block a
+    holds ``stack[tau^k a]`` in block column (k + shift) mod copies, so the
+    operator commutes with the rotation and N sub-blocks cost the memory of
+    one.  ``perm`` is ``tau^shift``.
+
+    A product is one gather and one batched ``np.matmul`` in both layouts:
+    row i of A @ B is ``A.stack[i] @ B.stack[A.perm[i]]``, its perm is
+    ``B.perm[A.perm]`` and, in the slot-0 layout, the shifts add.  Both modes
+    keep the stack as a numpy array.  In float mode it holds the entries and
+    the denominator is 1.  In exact mode it holds integer numerators over
+    one common positive ``denominator``: signed permutations have D = 1,
+    rational orthogonal matrices D = 5, 13, 65, ....  ``bound`` caps the
+    largest absolute row sum of the numerators; it multiplies along
     products, and the stack stays int64 only while the bound proves that
     nothing overflows, after which it is promoted to Python ints
     (``dtype=object``).
     """
 
-    __slots__ = ("mode", "count", "size", "stack", "perm", "denominator", "bound")
+    __slots__ = ("mode", "count", "copies", "stack", "perm", "denominator", "bound",
+                 "tau", "shift")
 
     def __init__(self, stack, perm=None, count=None):
         """A float operator; exact operators come from :meth:`from_blocks`.
@@ -236,16 +270,19 @@ class BlockDiagonalOperator:
             raise ValueError("stack must be (sub-blocks, size, size)")
         self._set(FLOAT64, arr, *_layout(len(arr), perm, count), 1, None)
 
-    def _set(self, mode, stack, perm, count, denominator, bound):
+    def _set(self, mode, stack, perm, count, denominator, bound,
+             tau=None, copies=None, shift=0):
         self.mode, self.stack, self.perm, self.count = mode, stack, perm, count
-        self.size = len(stack) // count * int(stack.shape[1])
+        self.copies = len(stack) // count if tau is None else copies
         self.denominator, self.bound = denominator, bound
+        self.tau, self.shift = tau, shift
 
     @classmethod
-    def _of(cls, mode, stack, perm, count, denominator, bound) -> "BlockDiagonalOperator":
+    def _of(cls, mode, stack, perm, count, denominator, bound,
+            **slot0) -> "BlockDiagonalOperator":
         """Internal fast path: the arrays already follow the class invariants."""
         op = object.__new__(cls)
-        op._set(mode, stack, perm, count, denominator, bound)
+        op._set(mode, stack, perm, count, denominator, bound, **slot0)
         return op
 
     @classmethod
@@ -271,26 +308,45 @@ class BlockDiagonalOperator:
         n, s = self.stack.shape[:2]
         dtype = float if self.mode == FLOAT64 else np.int64
         stack = np.broadcast_to(np.eye(s, dtype=dtype), (n, s, s)).copy()
-        return BlockDiagonalOperator._of(self.mode, stack, np.arange(n), self.count,
-                                         1, None if self.mode == FLOAT64 else 1)
+        return BlockDiagonalOperator._of(self.mode, stack, np.arange(n), self.count, 1,
+                                         None if self.mode == FLOAT64 else 1,
+                                         tau=self.tau, copies=self.copies)
 
     @property
-    def copies(self) -> int:
-        """Sub-blocks per outer block."""
-        return len(self.stack) // self.count
+    def size(self) -> int:
+        """Rows of one outer block."""
+        return self.copies * int(self.stack.shape[1])
 
     @property
     def dim(self) -> int:
         return self.count * self.size
 
+    def _orbits(self) -> np.ndarray:
+        """(count, copies) stack rows of every block row: [a, k] feeds block row k of block a.
+
+        The plain layout stores every block row, a * copies + k; the slot-0
+        layout stores tau^k a.
+        """
+        if self.tau is None:
+            return np.arange(len(self.stack)).reshape(self.count, self.copies)
+        rows = [np.arange(self.count)]
+        for _ in range(self.copies - 1):
+            rows.append(self.tau[rows[-1]])
+        return np.stack(rows, axis=1)
+
     @property
     def blocks(self) -> list[OperatorMatrix]:
         """The outer blocks, materialized densely."""
-        n, s = self.stack.shape[:2]
+        s = self.stack.shape[1]
         copies = self.copies
+        if self.tau is None:
+            cols = self.perm.reshape(self.count, copies) % copies
+        else:
+            cols = np.broadcast_to((np.arange(copies) + self.shift) % copies,
+                                   (self.count, copies))
         dense = np.zeros((self.count, copies, s, copies, s), dtype=self.stack.dtype)
-        rows = np.arange(n)
-        dense[rows // copies, rows % copies, :, self.perm % copies, :] = self.stack
+        outer, row = np.indices((self.count, copies))
+        dense[outer, row, :, cols, :] = self.stack[self._orbits()]
         dense = dense.reshape(self.count, self.size, self.size)
         return [_block_matrix(block, self.mode, self.denominator) for block in dense]
 
@@ -299,16 +355,17 @@ class BlockDiagonalOperator:
             return NotImplemented
         if self.mode != other.mode:
             raise ModeError("mode mismatch in block product")
-        if self.count != other.count or self.stack.shape != other.stack.shape:
+        if ((self.count, self.copies, self.stack.shape)
+                != (other.count, other.copies, other.stack.shape)
+                or (self.tau is None) != (other.tau is None)
+                or (self.tau is not other.tau and self.tau is not None
+                    and not np.array_equal(self.tau, other.tau))):
             raise ValueError("block partitions differ")
-        a, b, bound = self.stack, other.stack[self.perm], None
-        if self.mode == EXACT:
-            bound = self.bound * other.bound
-            if bound >= _INT64_LIMIT:
-                a, b = a.astype(object), b.astype(object)
-        return BlockDiagonalOperator._of(self.mode, np.matmul(a, b), other.perm[self.perm],
-                                         self.count, self.denominator * other.denominator,
-                                         bound)
+        bound = None if self.mode == FLOAT64 else self.bound * other.bound
+        return BlockDiagonalOperator._of(
+            self.mode, _gathered_matmul(self.stack, other.stack, self.perm, bound),
+            other.perm[self.perm], self.count, self.denominator * other.denominator, bound,
+            tau=self.tau, copies=self.copies, shift=(self.shift + other.shift) % self.copies)
 
     def to_matrix(self) -> OperatorMatrix:
         return block_diag(self.blocks)
@@ -318,6 +375,26 @@ class BlockDiagonalOperator:
 
 
 _INT64_LIMIT = 2 ** 63
+_ROW_CHUNK = 2 ** 12     # stack rows per chunk of the per-row temporaries
+
+
+def _promoted(a: np.ndarray, b: np.ndarray, bound: int | None):
+    """a and b, as Python ints once `bound` (None in float mode) no longer proves int64 safe."""
+    if bound is not None and bound >= _INT64_LIMIT:
+        return a.astype(object), b.astype(object)
+    return a, b
+
+
+def _gathered_matmul(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
+                     bound: int | None) -> np.ndarray:
+    """a[i] @ b[rows[i]] for every i, a chunk of rows at a time, so b is never copied whole."""
+    a, b = _promoted(a, b, bound)
+    if len(a) <= _ROW_CHUNK:
+        return np.matmul(a, b[rows])
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    for i in range(0, len(a), _ROW_CHUNK):
+        np.matmul(a[i:i + _ROW_CHUNK], b[rows[i:i + _ROW_CHUNK]], out=out[i:i + _ROW_CHUNK])
+    return out
 
 
 def _layout(n: int, perm, count) -> tuple[np.ndarray, int]:
@@ -363,6 +440,17 @@ class DilationTriple:
     U_family: dict[str, OperatorMatrix | BlockDiagonalOperator]
     n_guarantee: int | float
     mode: str
+
+    def __post_init__(self):
+        # _compress counts the N block rows of a slot-0 U as N copies of its
+        # slot-0 rows, which holds only if the rotation tau keeps every block
+        # in its weight class; check that once, here
+        taus = {id(u.tau): u.tau for u in self.U_family.values()
+                if isinstance(u, BlockDiagonalOperator) and u.tau is not None}
+        for tau in taus.values():
+            if (not isinstance(self.J, ScaledBlockMap) or len(tau) != self.J.block_count
+                    or not np.array_equal(self.J.classes[tau], self.J.classes)):
+                raise ValueError("J's weight classes are not invariant under U's slot rotation")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -424,43 +512,61 @@ def trivial_dilation(isometries: Mapping[str, OperatorMatrix], p: PNorm) -> Dila
     return DilationTriple(space, eye, eye, dict(items), INFINITE_GUARANTEE, mode)
 
 
-def _alpha_blocks(isos, slots: np.ndarray, N: int, mode: str) -> BlockDiagonalOperator:
-    """U for one combination: block b routes slot k through isos[slots[b, k]] from slot k+1.
+def _slot0_operator(isos, first: np.ndarray, tau: np.ndarray, N: int,
+                    mode: str) -> BlockDiagonalOperator:
+    """U for one combination in the slot-0 layout.
 
-    ``slots`` is the (m^N, N) array of 0-based isometry indices, one row per
-    alpha.  Sub-block b*N + k is that isometry, in block column b*N + (k+1) % N.
+    Block a routes slot k through the isometry its slot k picks, reading
+    from slot k+1 cyclically.  That is the slot-0 sub-block of block
+    tau^k a, so U stores only isos[first[a]], the isometry of slot 0.
     """
     if mode == EXACT:
         mats, den, bound = _integer_stack(isos)
     else:
         mats, den, bound = np.stack([t.to_ndarray() for t in isos]), 1, None
-    rows = np.arange(slots.size)
-    perm = rows - rows % N + (rows + 1) % N
-    return BlockDiagonalOperator._of(mode, mats[slots.reshape(-1)], perm, len(slots),
-                                     den, bound)
+    return BlockDiagonalOperator._of(mode, mats[first], tau, len(first), den, bound,
+                                     tau=tau, copies=N, shift=1 % N)
 
 
-def _rows_under_cap(N: int, d: int, stacks: int = 1) -> int:
-    """Alpha rows whose `stacks` U stacks fit STACK_BYTES_CAP: N*d*d entries a row."""
-    return STACK_BYTES_CAP // (stacks * N * d * d * 8)
+def _rows_under_cap(d: int, stacks: int = 1) -> int:
+    """Alpha rows whose `stacks` slot-0 U stacks fit STACK_BYTES_CAP: d*d entries a row."""
+    return STACK_BYTES_CAP // (stacks * d * d * 8)
 
 
 def _check_size(m: int, N: int, d: int, stacks: int = 1):
     """Refuse, before anything is enumerated, U stacks over STACK_BYTES_CAP."""
-    rows = _rows_under_cap(N, d, stacks)
+    rows = _rows_under_cap(d, stacks)
     if m ** N > rows:
         raise ValueError(
-            f"dilation too large: {stacks} x {m}^{N} blocks of {N} sub-blocks of size {d} "
+            f"dilation too large: {stacks} x {m}^{N} blocks of one sub-block of size {d} "
             f"are over the cap of {STACK_BYTES_CAP} bytes, which holds {rows} blocks")
 
 
-def _slot_rows(m: int, N: int, start: int, stop: int) -> np.ndarray:
-    """Alpha rows start..stop-1 as a (stop - start, N) array of 0-based symbols.
+def _slot_rows(m: int, N: int, rows: np.ndarray) -> np.ndarray:
+    """Alpha rows as a (len(rows), N) array of 0-based symbols.
 
     The alphas run over {0..m-1}^N in lexicographic order, so row r spells r
     in base m with slot 0 the most significant digit.
     """
-    return np.arange(start, stop)[:, None] // m ** np.arange(N - 1, -1, -1) % m
+    return rows[:, None] // m ** np.arange(N - 1, -1, -1) % m
+
+
+def _turn(m: int, N: int, rows: np.ndarray) -> np.ndarray:
+    """The slot rotation tau on alpha rows: slot k of tau(alpha) is slot k+1 of alpha."""
+    head = m ** (N - 1)
+    return rows % head * m + rows // head
+
+
+def _class_keys(m: int, N: int, rows: np.ndarray) -> np.ndarray:
+    """One integer per alpha row naming the multiset of its symbols.
+
+    weight(alpha) depends only on that multiset, so it is invariant under
+    tau.  The key spells the sorted slots in base m, below m^N, which int64
+    holds for any dilation whose alpha rows can be enumerated at all.
+    """
+    place = m ** np.arange(N)
+    return np.concatenate([np.sort(_slot_rows(m, N, rows[i:i + _ROW_CHUNK]), axis=1) @ place
+                           for i in range(0, len(rows), _ROW_CHUNK)])
 
 
 def _scaled_maps(bases, classes, N: int, d: int, p: PNorm, mode: str):
@@ -479,25 +585,24 @@ def _validated_combo(combo: ConvexCombination, N: int, p: PNorm) -> ConvexCombin
 
 
 def _n_dilation(combo: ConvexCombination, N: int, p: PNorm, label: str,
-                start: int, stop: int) -> DilationTriple:
-    """The N-dilation triple restricted to alpha rows start..stop-1."""
+                rows: np.ndarray) -> DilationTriple:
+    """The N-dilation triple on the alpha rows `rows`: sorted, and closed under tau."""
     m, d, mode = combo.m, combo.dim, combo.mode
-    slots = _slot_rows(m, N, start, stop)
-    # weight(alpha) depends only on the multiset of alpha's symbols, which the
-    # sorted slots spell in base m (below m^N, which int64 holds for any
-    # dilation whose alpha rows can be enumerated at all)
-    key = np.sort(slots, axis=1) @ m ** np.arange(N)
-    _, first, classes = np.unique(key, return_index=True, return_inverse=True)
+    total = m ** N
+    _, first, classes = np.unique(_class_keys(m, N, rows), return_index=True,
+                                  return_inverse=True)
     ws = combo.weights
     bases = tuple(Fraction(math.prod(ws[s].numerator for s in row),
                            N * math.prod(ws[s].denominator for s in row))
-                  for row in slots[first].tolist())
+                  for row in _slot_rows(m, N, rows[first]).tolist())
     j, q = _scaled_maps(bases, classes, N, d, p, mode)
     structure = f"l^{p} direct sum of N*m^N copies of X, N={N}, m={m}, dim X={d}"
-    if stop - start < m ** N:
-        structure += f", alpha rows {start} to {stop - 1}"
-    space = SpaceDescriptor(N * (stop - start) * d, p, structure)
-    u = _alpha_blocks(combo.isometries, slots, N, mode)
+    turned = _turn(m, N, rows)
+    if len(rows) < total:
+        structure += f", {len(rows)} of the {total} alpha rows"
+        turned = np.searchsorted(rows, turned)
+    space = SpaceDescriptor(N * len(rows) * d, p, structure)
+    u = _slot0_operator(combo.isometries, rows // m ** (N - 1), turned, N, mode)
     return DilationTriple(space, j, q, {label: u}, N, mode)
 
 
@@ -508,28 +613,48 @@ def build_n_dilation(combo: ConvexCombination, N: int, p: PNorm,
     The big space is a direct sum over all m^N slot assignments alpha of N
     copies of X, ordered lexicographically in alpha and then by slot.  Each
     alpha block of U routes slot k through the isometry alpha picks for it,
-    reading from slot k+1 cyclically, so U stores one d x d sub-block per
-    slot; the block's share of the weight, weight(alpha)/N, is split between
-    J (power 1/p) and Q (power 1/q).
+    reading from slot k+1 cyclically.  Rotating alpha by one slot (tau)
+    rotates its block the same way, so U stores only the slot-0 sub-block of
+    each alpha; the block's share of the weight, weight(alpha)/N, is split
+    between J (power 1/p) and Q (power 1/q).
     """
     combo = _validated_combo(combo, N, p)
     _check_size(combo.m, N, combo.dim)
-    return _n_dilation(combo, N, p, label, 0, combo.m ** N)
+    return _n_dilation(combo, N, p, label, np.arange(combo.m ** N))
 
 
 def build_n_dilation_parts(combo: ConvexCombination, N: int, p: PNorm,
                            label: str = "T") -> Iterator[DilationTriple]:
-    """build_n_dilation's triple over consecutive alpha ranges, each within the size cap.
+    """build_n_dilation's triple over parts of the alpha rows, each within the size cap.
 
-    U is block diagonal over alpha and J, Q act block by block, so Q U^n J
-    of the whole dilation is the sum of the parts' compressions.  When the
-    whole stack fits the cap there is one part, build_n_dilation's triple.
+    U is block diagonal over alpha and J, Q act block by block, so Q U_w J
+    of the whole dilation is the sum of the parts' compressions.  A part
+    is a union of whole tau orbits, taken weight class by weight class:
+    the compression of a slot-0 U needs a rotation-closed set of alphas.
+    A part holds at most the cap's rows unless one orbit alone is larger.
+    When the whole stack fits the cap there is one part, build_n_dilation's
+    triple.
     """
     combo = _validated_combo(combo, N, p)
-    step = _rows_under_cap(N, combo.dim)
-    total = combo.m ** N
-    for start in range(0, total, step):
-        yield _n_dilation(combo, N, p, label, start, min(start + step, total))
+    m, step, total = combo.m, _rows_under_cap(combo.dim), combo.m ** N
+    rows = np.arange(total)
+    if total <= step:
+        yield _n_dilation(combo, N, p, label, rows)
+        return
+    orbit, turned = rows.copy(), rows     # orbit: the least row of each row's orbit
+    for _ in range(N - 1):
+        turned = _turn(m, N, turned)
+        np.minimum(orbit, turned, out=orbit)
+    order = np.lexsort((orbit, _class_keys(m, N, rows)))
+    ends = np.append(np.flatnonzero(np.diff(orbit[order])) + 1, total)
+    del rows, orbit, turned
+    start = 0
+    while start < total:
+        # the most whole orbits that fit the cap, and at least one
+        stop = ends[max(np.searchsorted(ends, start + step, "right") - 1,
+                        np.searchsorted(ends, start, "right"))]
+        yield _n_dilation(combo, N, p, label, np.sort(order[start:stop]))
+        start = stop
 
 
 def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
@@ -556,10 +681,11 @@ def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
             raise ValueError(f"member {name!r} is not in equal-weight form")
         _validated_combo(combo, N, p)
     _check_size(m, N, d, stacks=len(members))
-    slots = _slot_rows(m, N, 0, m ** N)
-    u_family = {name: _alpha_blocks(combo.isometries, slots, N, mode)
+    rows = np.arange(m ** N)
+    first, tau = rows // m ** (N - 1), _turn(m, N, rows)
+    u_family = {name: _slot0_operator(combo.isometries, first, tau, N, mode)
                 for name, combo in members}
-    j, q = _scaled_maps((Fraction(1, N * m ** N),), np.zeros(len(slots), dtype=np.intp),
+    j, q = _scaled_maps((Fraction(1, N * m ** N),), np.zeros(len(rows), dtype=np.intp),
                         N, d, p, mode)
     dim = N * m ** N * d
     space = SpaceDescriptor(
@@ -730,8 +856,14 @@ def _power_label(triple: DilationTriple, label: str | None) -> str:
     return label
 
 
+def _check_power(n: int):
+    if n < 0:
+        raise ValueError("negative powers not supported")
+
+
 def compressed_power(triple: DilationTriple, n: int, label: str | None = None) -> OperatorMatrix:
     """Q U^n J for a single-operator triple (or a chosen label)."""
+    _check_power(n)
     return compress_word(triple, (_power_label(triple, label),) * n)
 
 
@@ -742,6 +874,7 @@ def compressed_powers(triple: DilationTriple, n_max: int,
     Entry n is bit for bit :func:`compressed_power` ``(triple, n, label)``,
     which multiplies in the same left-to-right order.
     """
+    _check_power(n_max)
     u = triple.U_family[_power_label(triple, label)]
     acc = _identity_operator(triple)
     out = [_compress(triple, acc)]
@@ -774,28 +907,27 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
         raise ValueError("J and Q block scalings do not match")
     if j.exponent + q.exponent != 1:
         raise ValueError("J and Q exponents must sum to 1")
-    if middle.count != j.block_count or middle.copies != j.copies:
-        raise ValueError("block partition mismatch")
-    d, copies, count = j.dim, j.copies, middle.count
+    if middle.tau is None or middle.count != j.block_count or middle.copies != j.copies:
+        raise ValueError("block partition mismatch: scaled J and Q need a slot-0 U")
     stack = middle.stack
-    if triple.mode == EXACT and middle.bound * count * copies >= _INT64_LIMIT:
-        stack = stack.astype(object)
-    # J and Q touch every copy, so each alpha block contributes the sum of its
-    # sub-blocks, wherever they sit
-    sums = stack.reshape(count, copies, d, d).sum(axis=1)
     if triple.mode == EXACT:
-        # the exponents cancel, so block b contributes bases[b] * sums[b];
-        # sum the integer blocks per class, then scale once per class base
-        bases = j.class_bases
-        per_base = np.zeros((len(bases), d, d), dtype=sums.dtype)
-        np.add.at(per_base, j.classes, sums)
-        den = math.lcm(*(b.denominator for b in bases))
-        coeffs = np.array([b.numerator * (den // b.denominator) for b in bases],
-                          dtype=object)
-        nums = np.tensordot(coeffs, per_base.astype(object), axes=1).tolist()
+        # the exponents cancel, so block a contributes base(a) times the sum
+        # of its N block rows, stack[tau^k a]; base is tau-invariant
+        # (DilationTriple checks it), so summed over a that is N times
+        # sum(base(a) * stack[a]): one integer dot
+        den, coeffs, weight = j._numerators
+        if weight * middle.bound >= _INT64_LIMIT:
+            coeffs, stack = coeffs.astype(object), stack.astype(object)
+        nums = (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:]).tolist()
         den *= middle.denominator
         return OperatorMatrix._from_exact_rows(
-            [[Fraction(x, den) for x in row] for row in nums])
+            [[Fraction(j.copies * x, den) for x in row] for row in nums])
+    # float: each block's N block rows summed in slot order, as in the full
+    # stack, then weighted; chunked, so no N-fold copy of the stack is made
+    orbits = middle._orbits()
+    sums = np.empty_like(stack)
+    for i in range(0, middle.count, _ROW_CHUNK):
+        stack[orbits[i:i + _ROW_CHUNK]].sum(axis=1, out=sums[i:i + _ROW_CHUNK])
     coeffs = j.scales() * q.scales()
     return OperatorMatrix(np.einsum("b,bij->ij", coeffs, sums))
 
@@ -826,6 +958,32 @@ def _word_set(labels: Sequence[str], max_len: int, cap: int,
     return words
 
 
+def _exact_target(t: OperatorMatrix) -> tuple[np.ndarray, int, int]:
+    """An exact target as (integer numerators, common denominator, row-sum bound)."""
+    if t.mode != EXACT:
+        raise ModeError(f"mode mismatch: {EXACT} vs {t.mode}")
+    nums, den, bound = _integer_stack([t])
+    return nums[0], den, bound
+
+
+def _target_product(a, b):
+    """The product of two exact targets, promoted to Python ints past int64."""
+    bound = a[2] * b[2]
+    return np.matmul(*_promoted(a[0], b[0], bound)), a[1] * b[1], bound
+
+
+def _equals_target(got: OperatorMatrix, want) -> bool:
+    """got == nums / den, exactly: rows compared as lists when den is 1, else cross-multiplied."""
+    nums, den, _ = want
+    if got.shape != nums.shape:
+        return False
+    if den == 1:
+        return got._data == nums.tolist()
+    return all(
+        x.numerator * den == y * x.denominator
+        for row, want_row in zip(got._data, nums.tolist()) for x, y in zip(row, want_row))
+
+
 def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
           words: Sequence[tuple[str, ...]], tolerance: float) -> list[WordCheck]:
     """Decide every word; the one place a word verdict is made.
@@ -833,11 +991,21 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
     Q U_w J must equal the target product exactly in exact mode, and lie
     within `tolerance` of it in float mode.  The distinct words are visited
     in sorted order, so each word comes right after its prefixes, and each
-    step extends a prefix by one label with one product.  A stack holds (prefix, U product, target product)
-    along the current word; a prefix that only one label ever extends is
-    replaced by its extension, since no later word can branch off it.  The
-    checks come back in the order of `words`, repeats included.
+    step extends a prefix by one label with one product.  A stack holds
+    (prefix, U product, target product) along the current word; a prefix
+    that only one label ever extends is replaced by its extension, since no
+    later word can branch off it.  Exact target products stay integer
+    numerators over one denominator; a Fraction target is built only for
+    the residual of a failing word.  The checks come back in the order of
+    `words`, repeats included.
     """
+    exact = triple.mode == EXACT
+    dim = next(iter(targets.values())).rows
+    if exact:
+        targets = {lbl: _exact_target(t) for lbl, t in targets.items()}
+        product, identity = _target_product, (np.eye(dim, dtype=np.int64), 1, 1)
+    else:
+        product, identity = operator.matmul, OperatorMatrix.identity(dim, triple.mode)
     distinct = sorted(set(words))
     branches: dict[tuple[str, ...], set[str]] = {}
     for word in distinct:
@@ -852,18 +1020,22 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
             u, t = triple.U_family[word[i]], targets[word[i]]
             if stack:
                 prefix, pu, pt = stack[-1]
-                u, t = pu @ u, pt @ t
+                u, t = pu @ u, product(pt, t)
                 if len(branches[prefix]) == 1:
                     stack.pop()
             stack.append((word[:i + 1], u, t))
         if word:
             _, middle, want = stack[-1]
         else:
-            middle = _identity_operator(triple)
-            want = OperatorMatrix.identity(next(iter(targets.values())).rows, triple.mode)
+            middle, want = _identity_operator(triple), identity
         got = _compress(triple, middle)
-        residual = operator_residual(got, want)
-        passed = got == want if triple.mode == EXACT else residual <= tolerance
+        if exact:
+            passed = _equals_target(got, want)
+            residual = 0.0 if passed else operator_residual(
+                got, _block_matrix(want[0], EXACT, want[1]))
+        else:
+            residual = operator_residual(got, want)
+            passed = residual <= tolerance
         decided[word] = WordCheck(word, residual, passed, len(word) <= triple.n_guarantee)
     return [decided[word] for word in words]
 

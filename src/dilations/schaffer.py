@@ -11,6 +11,7 @@ on the convex-combination pipeline in the Hilbert case p = 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,8 +162,9 @@ def cross_validate(T: OperatorMatrix, N: int,
     recon_err = float(np.max(np.abs(decomp.reconstruct().to_ndarray() - a)))
     rat_weights, rat_err = rationalize_decomposition(decomp, snap_denominator)
     combo = ConvexCombination(tuple(decomp.factors), tuple(rat_weights))
-    parts = [compressed_powers(part, N)
-             for part in build_n_dilation_parts(combo, N, PNorm(2))]
+    # map drops each part before the next is built
+    parts = list(map(functools.partial(compressed_powers, n_max=N),
+                     build_n_dilation_parts(combo, N, PNorm(2))))
     decomp_res = tuple(
         float(np.max(np.abs(sum(powers[1:], powers[0]).to_ndarray() - targets[n])))
         for n, powers in enumerate(zip(*parts)))

@@ -515,23 +515,24 @@ def test_size_cap_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(builders, "_slot_rows", never)
     with pytest.raises(ValueError, match="over the cap"):
-        build_n_dilation(_combo((F(1, 2), F(1, 2))), 20, P3)
+        build_n_dilation(_combo((F(1, 2), F(1, 2))), 22, P3)
     fam = rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
                               "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))})
     with pytest.raises(ValueError, match="over the cap"):
-        build_simultaneous_n_dilation(fam, 20, P3)
+        build_simultaneous_n_dilation(fam, 22, P3)
 
 
 def test_size_cap_counts_the_real_stack():
-    # m = 2, N = 16, d = 2: 2^16 blocks of 16 sub-blocks of 2 x 2 are 32 MiB;
-    # counted as dense (32 x 32) blocks they were 512 MiB and refused
+    # m = 2, N = 21, d = 2: 2^21 slot-0 sub-blocks of 2 x 2 are 64 MiB, the
+    # cap itself; with all 21 sub-blocks of a block stored they were 1.3 GiB
     combo = _combo((F(1, 3), F(2, 3)))
-    triple = build_n_dilation(combo, 16, P3)
+    triple = build_n_dilation(combo, 21, P3)
     u = triple.U_family["T"]
-    assert u.stack.nbytes == 32 * 2 ** 20 <= builders.STACK_BYTES_CAP
+    assert u.stack.nbytes == 64 * 2 ** 20 == builders.STACK_BYTES_CAP
     assert compress_word(triple, ("T",)) == combo.operator()
+    del triple, u
     with pytest.raises(ValueError, match="over the cap"):
-        build_n_dilation(combo, 17, P3)
+        build_n_dilation(combo, 22, P3)
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +603,13 @@ def test_n_dilation_u_is_one_sub_block_per_row():
     combo = _combo((F(1, 3), F(2, 3)))
     N, d = 3, 2
     u = build_n_dilation(combo, N, P3).U_family["T"]
-    assert u.stack.shape == (2 ** N * N, d, d) and (u.count, u.copies) == (8, N)
-    rows = np.arange(2 ** N * N)
-    assert u.perm.tolist() == (rows // N * N + (rows + 1) % N).tolist()
+    # the slot-0 layout: one sub-block per alpha, the isometry of its slot 0
+    assert u.stack.shape == (2 ** N, d, d) and (u.count, u.copies) == (8, N)
+    rows = np.arange(2 ** N)
+    assert u.stack.tolist() == [combo.isometries[r >> 2]._data for r in range(8)]
+    # perm is tau, the rotation by one slot: slot k of tau(alpha) is slot k+1
+    assert u.perm.tolist() == u.tau.tolist() == (rows % 4 * 2 + rows // 4).tolist()
+    assert u.shift == 1
 
 
 @pytest.mark.parametrize("members, p", [
@@ -655,3 +660,206 @@ def test_verify_rejects_empty_word_list():
     triple = build_n_dilation(combo, 2, P3)
     with pytest.raises(ValueError, match="at least one word"):
         verify_dilation(triple, {"T": combo.operator()}, words=[])
+
+
+# ---------------------------------------------------------------------------
+# slot-0 kernel against the full stack
+
+def _full_stack(u):
+    """The plain block-monomial operator of u, one stored sub-block per block row.
+
+    Built from the dense blocks alone: each block row's one nonzero sub-block
+    and its column, found by looking, not from u's slot-0 layout.
+    """
+    d, copies = u.stack.shape[1], u.copies
+    subs, perm = [], []
+    for a, block in enumerate(u.blocks):
+        dense = np.array([block.row_entries(i) for i in range(block.rows)], dtype=object)
+        for k in range(copies):
+            row = dense[k * d:(k + 1) * d]
+            cols = [c for c in range(copies) if np.any(row[:, c * d:(c + 1) * d] != 0)]
+            assert len(cols) == 1
+            sub = row[:, cols[0] * d:(cols[0] + 1) * d].tolist()
+            subs.append(OperatorMatrix(np.array(sub, dtype=float)) if u.mode == FLOAT64
+                        else OperatorMatrix(sub))
+            perm.append(a * copies + cols[0])
+    return BlockDiagonalOperator.from_blocks(subs, perm, u.count)
+
+
+def _full_stack_compression(triple, full, word):
+    """Q U_w J on the full stack, summed block row by block row as before slot 0."""
+    j, q = triple.J, triple.Q
+    acc = full[word[0]] if word else full[next(iter(full))].identity_like()
+    for lbl in word[1:]:
+        acc = acc @ full[lbl]
+    d = j.dim
+    sums = acc.stack.reshape(acc.count, acc.copies, d, d).sum(axis=1)
+    if triple.mode == FLOAT64:
+        return OperatorMatrix(np.einsum("b,bij->ij", j.scales() * q.scales(), sums))
+    per_class = np.zeros((len(j.class_bases), d, d), dtype=object)
+    np.add.at(per_class, j.classes, sums.astype(object))
+    out = sum((OperatorMatrix(c.tolist()).scale(b) for b, c in zip(j.class_bases, per_class)),
+              OperatorMatrix.zeros(d, d))
+    return out.scale(F(1, acc.denominator))
+
+
+def _orthogonal(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return OperatorMatrix(q * np.sign(np.diag(r)))
+
+
+@st.composite
+def _slot0_case(draw):
+    """A random N-dilation (one combination or an equal-weight family) and words.
+
+    Exact cases mix signed permutations with the rational rotations R5 and
+    R13 and may carry weights with denominators near 2^30, so that long words
+    and fine weights push both the stack and the class numerators past
+    int64.  Float cases use random orthogonal matrices, whose products and
+    sums round.
+    """
+    exact = draw(st.booleans())
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 4 if m < 3 else 3))
+    family = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [sp.matrix() for sp in all_signed_permutations(d)] + ([R5, R13] if d == 2 else [])
+
+    def isometry():
+        return pool[int(rng.integers(len(pool)))] if exact else _orthogonal(d, rng)
+
+    if family == 1:
+        top = draw(st.sampled_from((9, 2 ** 30)))
+        raw = [draw(st.integers(1, top)) for _ in range(m)]
+        combos = {"T": ConvexCombination(tuple(isometry() for _ in range(m)),
+                                         tuple(F(a, sum(raw)) for a in raw))}
+    else:
+        combos = {name: ConvexCombination(tuple(isometry() for _ in range(m)), (F(1, m),) * m)
+                  for name in ("A", "B")}
+    labels = st.sampled_from(sorted(combos))
+    words = draw(st.lists(st.lists(labels, max_size=6).map(tuple), min_size=1, max_size=4))
+    if exact and draw(st.booleans()):
+        words.append(tuple(draw(st.lists(labels, min_size=8, max_size=20))))
+    p = P2 if not exact or d == 2 else P3
+    return combos, N, p, words
+
+
+@settings(max_examples=60, deadline=None)
+@given(_slot0_case())
+def test_slot0_compression_matches_the_full_stack(case):
+    combos, N, p, words = case
+    if len(combos) == 1:
+        triple = build_n_dilation(combos["T"], N, p)
+    else:
+        triple = build_simultaneous_n_dilation(combos, N, p)
+    full = {lbl: _full_stack(u) for lbl, u in triple.U_family.items()}
+    for word in words:
+        got = compress_word(triple, word)
+        want = _full_stack_compression(triple, full, word)
+        if triple.mode == EXACT:
+            assert got == want
+        else:
+            assert np.array_equal(got.to_ndarray(), want.to_ndarray())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_slot0_case(), st.integers(1, 6))
+def test_rotation_closed_parts_sum_to_one_part(case, rows_per_part):
+    combos, N, p, words = case
+    combo = next(iter(combos.values()))
+    triple = build_n_dilation(combo, N, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builders, "STACK_BYTES_CAP", rows_per_part * combo.dim ** 2 * 8)
+        parts = list(builders.build_n_dilation_parts(combo, N, p))
+    assert sum(part.U_family["T"].count for part in parts) == combo.m ** N
+    for word in {tuple("T" for _ in w) for w in words}:
+        whole = compress_word(triple, word)
+        summed = [compress_word(part, word) for part in parts]
+        summed = sum(summed[1:], summed[0])
+        if triple.mode == EXACT:
+            assert summed == whole
+        else:
+            assert np.max(np.abs(summed.to_ndarray() - whole.to_ndarray())) <= 1e-12
+
+
+def test_slot0_compression_promotes_past_int64():
+    # R13^15 keeps the stack in int64 (row sums 17^15 < 2^63), but the class
+    # numerators over 3 * 45^3 push the weighted sum past int64
+    combo = ConvexCombination((R13, R13.transpose()), (F(1, 45), F(44, 45)))
+    triple = build_n_dilation(combo, 3, P2)
+    word = ("T",) * 15
+    middle = builders._word_operator(triple, word)
+    assert middle.stack.dtype == np.int64
+    assert middle.bound < 2 ** 63 <= middle.bound * triple.J._numerators[2]
+    full = {"T": _full_stack(triple.U_family["T"])}
+    assert compress_word(triple, word) == _full_stack_compression(triple, full, word)
+
+
+def test_weight_classes_must_be_rotation_invariant():
+    combo = _combo((F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 2, P3)
+    # rows 01 and 10 form one tau orbit; giving them different classes breaks
+    # the slot-0 compression, so the triple is refused
+    bases = (F(1, 18), F(1, 9), F(1, 9), F(2, 9))
+    j = ScaledBlockMap("embed", bases, F(1, 3), 2, 2, EXACT)
+    q = ScaledBlockMap("readout", bases, F(2, 3), 2, 2, EXACT)
+    with pytest.raises(ValueError, match="invariant"):
+        builders.DilationTriple(triple.space, j, q, triple.U_family, 2, EXACT)
+    # the same bases as one class per orbit are accepted
+    classes = np.array([0, 1, 1, 2])
+    j = ScaledBlockMap("embed", bases[::2] + bases[3:], F(1, 3), 2, 2, EXACT, classes)
+    q = ScaledBlockMap("readout", bases[::2] + bases[3:], F(2, 3), 2, 2, EXACT, classes)
+    ok = builders.DilationTriple(triple.space, j, q, triple.U_family, 2, EXACT)
+    assert compressed_power(ok, 2) == combo.operator().power(2)
+
+
+def test_negative_powers_are_refused():
+    triple = build_n_dilation(_combo((F(1, 3), F(2, 3))), 2, P3)
+    with pytest.raises(ValueError, match="negative"):
+        compressed_power(triple, -1)
+    with pytest.raises(ValueError, match="negative"):
+        builders.compressed_powers(triple, -2)
+
+
+def test_scales_are_computed_once_per_map():
+    triple = build_n_dilation(_combo((F(1, 3), F(2, 3))), 3, P3)
+    j = triple.J
+    scales = j.scales()
+    assert j.scales() is scales and not scales.flags.writeable
+    e = float(j.exponent)
+    assert scales.tolist() == [float(j.class_bases[c]) ** e for c in j.classes.tolist()]
+    with pytest.raises(ValueError, match="positive"):
+        ScaledBlockMap("embed", (F(1, 2), F(0)), F(1, 3), 1, 1, EXACT)
+
+
+# ---------------------------------------------------------------------------
+# exact targets as integer numerators
+
+def test_target_past_int64_is_promoted():
+    # weights over 45 at N = 12: the target T^12 has denominator 45^12 > 2^63
+    combo = _combo((F(7, 45), F(38, 45)), (SWAP, NEG))
+    T = combo.operator()
+    target = builders._exact_target(T)
+    acc = target
+    for _ in range(11):
+        acc = builders._target_product(acc, target)
+    assert acc[0].dtype == object and acc[1] == 45 ** 12 > 2 ** 63
+    assert OperatorMatrix(acc[0].tolist()).scale(F(1, acc[1])) == T.power(12)
+    triple = build_n_dilation(combo, 12, P3)
+    report = verify_dilation(triple, {"T": T}, 12)
+    assert report.passed and report.max_residual == 0.0 and len(report.checks) == 13
+
+
+def test_wrong_target_fails_with_the_fraction_residual():
+    combo = _combo((F(1, 3), F(2, 3)))
+    T = combo.operator()
+    wrong = T + OperatorMatrix([[0, F(1, 7)], [0, 0]])
+    triple = build_n_dilation(combo, 3, P3)
+    report = verify_dilation(triple, {"T": wrong}, 3)
+    assert not report.passed
+    for check in report.checks:
+        n = len(check.word)
+        residual = operator_residual(compressed_power(triple, n), wrong.power(n))
+        assert check.residual == residual
+        assert check.passed == (residual == 0.0) == (n == 0)

@@ -193,11 +193,14 @@ def test_alpha_ranges_sum_to_the_whole_dilation(monkeypatch):
     assert len(list(build_n_dilation_parts(float_combo, N, p2))) == 1
     report = cross_validate(T, N)
 
-    # three alpha rows per range
-    monkeypatch.setattr(builders, "STACK_BYTES_CAP", 3 * N * d * d * 8)
+    # three alpha rows per part; at N = 2 every tau orbit has one or two rows
+    monkeypatch.setattr(builders, "STACK_BYTES_CAP", 3 * d * d * 8)
     for combo, one_range in zip(combos, whole):
-        parts = [compressed_powers(part, N) for part in build_n_dilation_parts(combo, N, p2)]
-        assert len(parts) == -(-combo.m ** N // 3) > 1
+        triples = list(build_n_dilation_parts(combo, N, p2))
+        rows = [part.U_family["T"].count for part in triples]
+        assert sum(rows) == combo.m ** N and max(rows) <= 3
+        assert len(triples) >= -(-combo.m ** N // 3) > 1
+        parts = [compressed_powers(part, N) for part in triples]
         summed = [sum(powers[1:], powers[0]) for powers in zip(*parts)]
         target = combo.operator()
         for n in range(N + 1):
