@@ -321,15 +321,16 @@ class BlockDiagonalOperator:
     def dim(self) -> int:
         return self.count * self.size
 
-    def _orbits(self) -> np.ndarray:
-        """(count, copies) stack rows of every block row: [a, k] feeds block row k of block a.
+    def _orbits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Stack rows of the block rows of blocks start..stop: [a, k] feeds block row k of block a.
 
         The plain layout stores every block row, a * copies + k; the slot-0
         layout stores tau^k a.
         """
+        blocks = np.arange(start, self.count if stop is None else min(stop, self.count))
         if self.tau is None:
-            return np.arange(len(self.stack)).reshape(self.count, self.copies)
-        rows = [np.arange(self.count)]
+            return blocks[:, None] * self.copies + np.arange(self.copies)
+        rows = [blocks]
         for _ in range(self.copies - 1):
             rows.append(self.tau[rows[-1]])
         return np.stack(rows, axis=1)
@@ -387,14 +388,9 @@ def _promoted(a: np.ndarray, b: np.ndarray, bound: int | None):
 
 def _gathered_matmul(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
                      bound: int | None) -> np.ndarray:
-    """a[i] @ b[rows[i]] for every i, a chunk of rows at a time, so b is never copied whole."""
+    """a[i] @ b[rows[i]] for every i."""
     a, b = _promoted(a, b, bound)
-    if len(a) <= _ROW_CHUNK:
-        return np.matmul(a, b[rows])
-    out = np.empty(a.shape, dtype=np.result_type(a, b))
-    for i in range(0, len(a), _ROW_CHUNK):
-        np.matmul(a[i:i + _ROW_CHUNK], b[rows[i:i + _ROW_CHUNK]], out=out[i:i + _ROW_CHUNK])
-    return out
+    return np.matmul(a, b[rows])
 
 
 def _layout(n: int, perm, count) -> tuple[np.ndarray, int]:
@@ -629,32 +625,40 @@ def build_n_dilation_parts(combo: ConvexCombination, N: int, p: PNorm,
 
     U is block diagonal over alpha and J, Q act block by block, so Q U_w J
     of the whole dilation is the sum of the parts' compressions.  A part
-    is a union of whole tau orbits, taken weight class by weight class:
+    is a union of whole tau orbits, taken in the order of their least rows:
     the compression of a slot-0 U needs a rotation-closed set of alphas.
     A part holds at most the cap's rows unless one orbit alone is larger.
-    When the whole stack fits the cap there is one part, build_n_dilation's
-    triple.
+    The orbits are found a chunk of rows at a time, so besides the part
+    being built no array spans more than a chunk.  When the whole stack
+    fits the cap there is one part, build_n_dilation's triple.
     """
     combo = _validated_combo(combo, N, p)
     m, step, total = combo.m, _rows_under_cap(combo.dim), combo.m ** N
-    rows = np.arange(total)
     if total <= step:
-        yield _n_dilation(combo, N, p, label, rows)
+        yield _n_dilation(combo, N, p, label, np.arange(total))
         return
-    orbit, turned = rows.copy(), rows     # orbit: the least row of each row's orbit
-    for _ in range(N - 1):
-        turned = _turn(m, N, turned)
-        np.minimum(orbit, turned, out=orbit)
-    order = np.lexsort((orbit, _class_keys(m, N, rows)))
-    ends = np.append(np.flatnonzero(np.diff(orbit[order])) + 1, total)
-    del rows, orbit, turned
-    start = 0
-    while start < total:
-        # the most whole orbits that fit the cap, and at least one
-        stop = ends[max(np.searchsorted(ends, start + step, "right") - 1,
-                        np.searchsorted(ends, start, "right"))]
-        yield _n_dilation(combo, N, p, label, np.sort(order[start:stop]))
-        start = stop
+    part, size = [], 0      # the orbits gathered for the next part, and their rows
+    for start in range(0, total, _ROW_CHUNK):
+        turns = [np.arange(start, min(start + _ROW_CHUNK, total))]
+        for _ in range(N - 1):
+            turns.append(_turn(m, N, turns[-1]))
+        turns = np.stack(turns, axis=1)
+        # each orbit once, from its least row; tau^k fixes that row N/size times
+        orbits = turns[turns.min(axis=1) == turns[:, 0]]
+        ends = np.cumsum(N // np.count_nonzero(orbits == orbits[:, :1], axis=1))
+        i = 0
+        while i < len(orbits):
+            done = ends[i - 1] if i else 0
+            # the most orbits that fit the part, and at least one in a new part
+            stop = max(np.searchsorted(ends, done + step - size, "right"), i + (not part))
+            if stop > i:
+                part.append(orbits[i:stop])
+                size += int(ends[stop - 1] - done)
+                i = stop
+            if i < len(orbits):
+                yield _n_dilation(combo, N, p, label, np.unique(np.concatenate(part)))
+                part, size = [], 0
+    yield _n_dilation(combo, N, p, label, np.unique(np.concatenate(part)))
 
 
 def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
@@ -923,11 +927,11 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
         return OperatorMatrix._from_exact_rows(
             [[Fraction(j.copies * x, den) for x in row] for row in nums])
     # float: each block's N block rows summed in slot order, as in the full
-    # stack, then weighted; chunked, so no N-fold copy of the stack is made
-    orbits = middle._orbits()
+    # stack, then weighted; a chunk of blocks at a time, so neither the
+    # rotations nor their stack rows are ever held for every block at once
     sums = np.empty_like(stack)
     for i in range(0, middle.count, _ROW_CHUNK):
-        stack[orbits[i:i + _ROW_CHUNK]].sum(axis=1, out=sums[i:i + _ROW_CHUNK])
+        stack[middle._orbits(i, i + _ROW_CHUNK)].sum(axis=1, out=sums[i:i + _ROW_CHUNK])
     coeffs = j.scales() * q.scales()
     return OperatorMatrix(np.einsum("b,bij->ij", coeffs, sums))
 
@@ -973,12 +977,10 @@ def _target_product(a, b):
 
 
 def _equals_target(got: OperatorMatrix, want) -> bool:
-    """got == nums / den, exactly: rows compared as lists when den is 1, else cross-multiplied."""
+    """got == nums / den, exactly, by cross-multiplying each entry."""
     nums, den, _ = want
     if got.shape != nums.shape:
         return False
-    if den == 1:
-        return got._data == nums.tolist()
     return all(
         x.numerator * den == y * x.denominator
         for row, want_row in zip(got._data, nums.tolist()) for x, y in zip(row, want_row))

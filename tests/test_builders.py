@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -781,6 +782,41 @@ def test_rotation_closed_parts_sum_to_one_part(case, rows_per_part):
             assert summed == whole
         else:
             assert np.max(np.abs(summed.to_ndarray() - whole.to_ndarray())) <= 1e-12
+
+
+def _traced_peak(call):
+    """call() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_float_compression_holds_one_chunk_of_rotations():
+    # m = 2, d = 1, N = 18: the stack is 2 MiB, but the rotations of every
+    # alpha, as an index, would take 18 times that; the compression may
+    # hold them for one chunk of alphas only
+    one = OperatorMatrix(np.ones((1, 1)))
+    combo = ConvexCombination((one, one.scale(-1)), (F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 18, P3)
+    middle = builders._word_operator(triple, ("T",) * 3)
+    got, peak = _traced_peak(lambda: builders._compress(triple, middle))
+    assert peak < 18 * 2 ** 18 * 8 // 4
+    assert abs(got.to_ndarray()[0, 0] - (-1 / 3) ** 3) < 1e-12
+
+
+def test_parts_hold_one_chunk_of_orbits(monkeypatch):
+    # m = 2, N = 20: an array over all 2^20 alphas takes 8 MiB; the first
+    # part of at most 64 rows needs the orbits of one chunk of rows only
+    combo = _combo((F(1, 3), F(2, 3)))
+    monkeypatch.setattr(builders, "STACK_BYTES_CAP", 64 * 2 * 2 * 8)
+    parts = builders.build_n_dilation_parts(combo, 20, P3)
+    first, peak = _traced_peak(lambda: next(parts))
+    assert peak < 2 ** 20 * 8 // 2
+    rows = first.U_family["T"].count
+    assert 20 <= rows <= 64 and first.space.dim == 20 * rows * 2
 
 
 def test_slot0_compression_promotes_past_int64():
