@@ -440,6 +440,10 @@ def _load_generators(spec_text: str, d: int):
         entries, names = payload, None
     else:
         raise PayloadError("generator payload must be a list or {'generators': [...]}")
+    if not isinstance(entries, list):
+        raise PayloadError("'generators' must be a list of matrices")
+    if len(entries) > GENERATOR_CAP:
+        raise PayloadError(f"generator count {len(entries)} exceeds cap {GENERATOR_CAP}")
     mats = []
     for entry in entries:
         mat, _ = _parse_matrix(entry)
@@ -477,8 +481,8 @@ def _cmd_hull_check(args) -> int:
     if mat.mode == FLOAT64:
         mat, snap_error = snap_matrix(mat, args.max_denominator)
         warnings.append("float matrix snapped to the rational grid")
-    gens, names = _load_generators(args.generators, mat.rows)
     try:
+        gens, names = _load_generators(args.generators, mat.rows)
         outcome = hull_membership(mat, gens, mode=args.mode, names=names)
     except (ValueError, ModeError) as exc:
         raise PayloadError(str(exc)) from exc

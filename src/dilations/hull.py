@@ -13,6 +13,7 @@ so both outcomes are machine-checkable certificates rather than numerics.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -175,23 +176,59 @@ def _candidate_vectors(d: int):
         yield tuple(-x for x in e)
 
 
+def _bordered_pairings(m: OperatorMatrix, den: int) -> list[list[int]]:
+    """den * <x, M y> for x, y running over the all-ones vector, e_0, ..., e_{d-1}.
+
+    Entry (0, 0) is the total, row 0 the column sums, column 0 the row sums
+    and entry (i + 1, j + 1) is M_ij, all integers when den is a common
+    denominator of M's entries.
+    """
+    rows = [[x.numerator * (den // x.denominator) if isinstance(x, Fraction)
+             else x * den for x in row] for row in m._data]
+    cols = [sum(col) for col in zip(*rows)]
+    return [[sum(cols)] + cols] + [[sum(row)] + row for row in rows]
+
+
 def _search_pair(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
                  mode: str):
-    """Best separating evaluation pair among coordinate and all-ones vectors."""
-    d = T.rows
+    """Best separating evaluation pair among coordinate and all-ones vectors.
+
+    Candidate 2a + s is (-1)^s times base vector a (the all-ones vector,
+    then e_0, ..., e_{d-1}), so <u, G v> for pair (2a + s, 2b + t) is
+    (-1)^(s+t) times cell (a, b) of G's bordered pairings.  One integer
+    table per matrix, over a common denominator, thus gives every pairing,
+    and a pair's largest generator value is its cell's maximum over the
+    generators, or minus the minimum when the sign is negative.  Pairs are
+    ranked u-major, then v, keeping the first of equal gaps.  Returns
+    (gap, u, v, bound, value, per-generator values), or None when no
+    candidate pair separates.
+    """
+    mats = [T, *generators]
+    den = math.lcm(*[x.denominator for m in mats for row in m._data for x in row
+                     if isinstance(x, Fraction)])
+    target, *tables = [_bordered_pairings(m, den) for m in mats]
+    k = T.rows + 1
+    cells = [[[table[a][b] for table in tables] for b in range(k)] for a in range(k)]
+    highest = [[max(cell) for cell in row] for row in cells]
+    lowest = [[min(cell) for cell in row] for row in cells]
     best = None
-    for u in _candidate_vectors(d):
-        for v in _candidate_vectors(d):
-            vals = [_evaluate(u, g, v) for g in generators]
-            bound = max(vals)
-            if mode == SUBCONVEX and bound < 0:
-                bound = Fraction(0)
-            t_val = _evaluate(u, T, v)
-            if t_val > bound:
-                gap = t_val - bound
-                if best is None or gap > best[0]:
-                    best = (gap, u, v, bound, t_val, vals)
-    return best
+    for iu in range(2 * k):
+        for iv in range(2 * k):
+            a, b, sign = iu // 2, iv // 2, (-1) ** (iu + iv)
+            bound = highest[a][b] if sign > 0 else -lowest[a][b]
+            if mode == SUBCONVEX:
+                bound = max(bound, 0)
+            gap = sign * target[a][b] - bound
+            if gap > 0 and (best is None or gap > best[0]):
+                best = (gap, iu, iv, bound)
+    if best is None:
+        return None
+    gap, iu, iv, bound = best
+    a, b, sign = iu // 2, iv // 2, (-1) ** (iu + iv)
+    cands = list(_candidate_vectors(T.rows))
+    return (Fraction(gap, den), cands[iu], cands[iv], Fraction(bound, den),
+            Fraction(sign * target[a][b], den),
+            [Fraction(sign * val, den) for val in cells[a][b]])
 
 
 def hull_membership(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
@@ -226,25 +263,28 @@ def hull_membership(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
         names = tuple(names)
         if len(names) != len(gens):
             raise ValueError("one name per generator")
+    repeated = sorted(n for n, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise ValueError(f"generator names must be distinct; repeated: {repeated}")
 
     r = len(gens)
     slack_col = 1 if mode == SUBCONVEX else 0
     rows, rhs = [], []
     for a in range(d):
         for b in range(d):
-            rows.append([Fraction(g._data[a][b]) for g in gens] + [Fraction(0)] * slack_col)
-            rhs.append(Fraction(T._data[a][b]))
-    rows.append([Fraction(1)] * r + [Fraction(1)] * slack_col)
-    rhs.append(Fraction(1))
+            rows.append([g._data[a][b] for g in gens] + [0] * slack_col)
+            rhs.append(T._data[a][b])
+    rows.append([1] * (r + slack_col))
+    rhs.append(1)
 
     outcome = solve_equalities(rows, rhs)
     if outcome.feasible:
         weights = outcome.solution[:r]
         slack = outcome.solution[r] if slack_col else None
-        recon = None
-        for w, g in zip(weights, gens):
-            term = g.scale(w)
-            recon = term if recon is None else recon + term
+        used = [(w, g._data) for w, g in zip(weights, gens) if w]
+        recon = OperatorMatrix._from_exact_rows(
+            [[sum((w * data[a][b] for w, data in used), Fraction(0))
+              for b in range(d)] for a in range(d)])
         if recon != T:
             raise ArithmeticError("feasible LP point does not reconstruct the target")
         coeffs = {name: w for name, w in zip(names, weights)}
@@ -254,13 +294,14 @@ def hull_membership(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
     functional = OperatorMatrix([[y[a * d + b] for b in range(d)] for a in range(d)])
     c = -y[d * d]
     f_value = _pairing(functional, T)
-    if f_value <= c or any(_pairing(functional, g) > c for g in gens):
+    g_values = [_pairing(functional, g) for g in gens]
+    if f_value <= c or any(val > c for val in g_values):
         raise ArithmeticError("Farkas dual failed direct re-evaluation")
 
     factored = _rank_one_factor(functional)
     if factored is not None:
         u, v = factored
-        slacks = tuple(c - _pairing(functional, g) for g in gens)
+        slacks = tuple(c - val for val in g_values)
         cert = SeparationCertificate(functional, c, f_value, u, v, c, f_value, slacks)
     else:
         found = _search_pair(T, gens, mode)
@@ -270,7 +311,7 @@ def hull_membership(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
             cert = SeparationCertificate(functional, c, f_value, u, v,
                                          bound, t_val, slacks)
         else:
-            slacks = tuple(c - _pairing(functional, g) for g in gens)
+            slacks = tuple(c - val for val in g_values)
             cert = SeparationCertificate(functional, c, f_value, None, None,
                                          None, None, slacks)
     if not cert.verify(T, gens, mode):

@@ -276,6 +276,41 @@ def test_hull_check_custom_generators(tmp_path, capsys):
         "e": "1/2", "s": "1/2"}
 
 
+def test_hull_check_refuses_repeated_generator_names(tmp_path, capsys):
+    # with one name twice, the report would keep only the last weight
+    gens = _write(tmp_path, "gens.json", {
+        "generators": [_mat([[1, 0], [0, 1]]), _mat([[0, 1], [1, 0]])],
+        "names": ["a", "a"],
+    })
+    matrix = _write(tmp_path, "matrix.json",
+                    _mat([["3/4", "1/4"], ["1/4", "3/4"]]))
+    code = run(["hull-check", "--matrix", matrix, "--generators", gens])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "generator names must be distinct" in captured.err
+
+
+@pytest.mark.parametrize("preset", ["perms", "sperms"])
+def test_hull_check_preset_over_the_enumeration_cap(preset, tmp_path, capsys):
+    matrix = _write(tmp_path, "matrix.json",
+                    _mat([[1 if i == j else 0 for j in range(6)] for i in range(6)]))
+    code = run(["hull-check", "--matrix", matrix, "--generators", preset])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "dimension 6 above enumeration cap 5" in captured.err
+
+
+def test_hull_check_refuses_generator_file_over_the_cap(tmp_path, capsys):
+    # placeholders are not matrices: parsing any of them first would fail
+    # with another message, so the count is checked before any entry
+    gens = _write(tmp_path, "gens.json", [None] * (cli.GENERATOR_CAP + 1))
+    matrix = _write(tmp_path, "matrix.json", _mat([[1, 0], [0, 1]]))
+    code = run(["hull-check", "--matrix", matrix, "--generators", gens])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"generator count {cli.GENERATOR_CAP + 1} exceeds cap" in captured.err
+
+
 def test_identity_check_command(capsys):
     code, doc = _run_json(capsys, ["identity-check", "--m", "2", "--N", "4"])
     assert code == 0

@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilations.hull import (CONVEX, GENERATOR_CAP, SUBCONVEX,
-                            default_generators, hull_membership,
+                            _candidate_vectors, _evaluate, _search_pair, default_generators, hull_membership,
                             permutation_generators, positive_isometry_scan,
                             signed_permutation_generators, snap_matrix,
                             snap_to_rational)
 from dilations.linalg import OperatorMatrix, PNorm
-from dilations.simplex import solve_equalities
+from dilations.simplex import Phase1Result, solve_equalities
 
 F = Fraction
 P3 = PNorm(F(3))
@@ -257,3 +257,204 @@ def test_simplex_verdicts_are_certified(seed):
         for j in range(n):
             assert sum(y[i] * rows[i][j] for i in range(m)) <= 0
         assert sum(y[i] * rhs[i] for i in range(m)) > 0
+
+
+# ---------------------------------------------------------------------------
+# rational oracles for the integer simplex and the batched pair search
+
+
+def _reference_solve_equalities(rows, rhs):
+    """Textbook phase-1 simplex over Fraction, with Bland's rule.
+
+    The rational tableau the integer-row solver must reproduce entry for
+    entry: same pivots, same basis path, same returned point or dual.
+    """
+    k = len(rows)
+    a = [[F(x) for x in row] for row in rows]
+    n = len(a[0])
+    b = [F(x) for x in rhs]
+    flipped = [False] * k
+    for i in range(k):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+            flipped[i] = True
+    zero, one = F(0), F(1)
+    tab = [a[i] + [one if j == i else zero for j in range(k)] + [b[i]]
+           for i in range(k)]
+    basis = list(range(n, n + k))
+    total = n + k
+    retired = [False] * k
+    while True:
+        cost_rows = [r for r in range(k) if basis[r] >= n]
+        entering = -1
+        for j in range(total):
+            if j >= n and (retired[j - n] or j in basis):
+                continue
+            if j < n and j in basis:
+                continue
+            rc = (one if j >= n else zero) - sum(tab[r][j] for r in cost_rows)
+            if rc < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving, best = -1, None
+        for r in range(k):
+            t = tab[r][entering]
+            if t > 0:
+                ratio = tab[r][total] / t
+                if best is None or ratio < best or (
+                        ratio == best and basis[r] < basis[leaving]):
+                    best, leaving = ratio, r
+        if basis[leaving] >= n:
+            retired[basis[leaving] - n] = True
+        piv = tab[leaving][entering]
+        tab[leaving] = [x / piv for x in tab[leaving]]
+        prow = tab[leaving]
+        for r, other in enumerate(tab):
+            f = other[entering]
+            if r != leaving and f:
+                tab[r] = [x - f * y for x, y in zip(other, prow)]
+        basis[leaving] = entering
+    cost_rows = [r for r in range(k) if basis[r] >= n]
+    objective = sum((tab[r][total] for r in cost_rows), zero)
+    if objective == 0:
+        x = [zero] * n
+        for r in range(k):
+            if basis[r] < n:
+                x[basis[r]] = tab[r][total]
+        return Phase1Result(True, tuple(x), None, objective)
+    dual = []
+    for i in range(k):
+        y_i = sum((tab[r][n + i] for r in cost_rows), zero)
+        dual.append(-y_i if flipped[i] else y_i)
+    return Phase1Result(False, None, tuple(dual), objective)
+
+
+_BIG = 2 ** 64 + 13                    # denominators past int64
+_DENOMINATORS = (1, 1, 1, 2, 3, 5, _BIG, 3 ** 41)
+
+
+@st.composite
+def _linear_systems(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entry = st.builds(F, st.integers(-3, 3), st.sampled_from(_DENOMINATORS))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if draw(st.booleans()):
+        # feasible by construction; zeros in x0 make degenerate vertices
+        weight = st.builds(F, st.integers(0, 2), st.sampled_from(_DENOMINATORS))
+        x0 = draw(st.lists(weight, min_size=n, max_size=n))
+        rhs = [sum(p * q for p, q in zip(row, x0)) for row in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    return rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_linear_systems())
+@example(([[1, 0, 1], [1, 1, 0]], [1, 1]))          # ratio tie on the first pivot
+@example(([[1, 1, 0], [1, 0, 1], [0, 1, 1]], [0, 0, 0]))   # all-degenerate
+@example(([[-1, 2], [1, 1]], [-3, 4]))               # a flipped row
+@example(([[1, 0], [1, 0]], [1, 2]))                 # infeasible
+@example(([[F(1, _BIG), F(2, 3 ** 41)], [F(-1, 7), F(1, _BIG)]],
+          [F(1, 2 ** 70), F(-5, _BIG)]))
+def test_integer_simplex_matches_rational_tableau(system):
+    rows, rhs = system
+    assert solve_equalities(rows, rhs) == _reference_solve_equalities(rows, rhs)
+
+
+def test_integer_simplex_known_points():
+    # points worked out by hand, independent of either solver
+    tie = solve_equalities([[1, 0, 1], [1, 1, 0]], [1, 1])
+    assert tie.feasible and tie.solution == (F(1), F(0), F(0))
+    flipped = solve_equalities([[-1, 2], [1, 1]], [-3, 4])
+    assert flipped.feasible and flipped.solution == (F(11, 3), F(1, 3))
+    infeasible = solve_equalities([[1, 0], [1, 0]], [1, 2])
+    assert not infeasible.feasible and infeasible.objective == 1
+    big = solve_equalities([[F(1, _BIG), F(2, 3 ** 41)]], [F(1, 2 ** 70)])
+    assert big.feasible and big.solution == (F(_BIG, 2 ** 70), F(0))
+
+
+def _reference_search_pair(T, generators, mode):
+    """Every candidate pair evaluated one by one in Fraction, u-major."""
+    best = None
+    for u in _candidate_vectors(T.rows):
+        for v in _candidate_vectors(T.rows):
+            vals = [_evaluate(u, g, v) for g in generators]
+            bound = max(vals)
+            if mode == SUBCONVEX and bound < 0:
+                bound = F(0)
+            t_val = _evaluate(u, T, v)
+            if t_val > bound:
+                gap = t_val - bound
+                if best is None or gap > best[0]:
+                    best = (gap, u, v, bound, t_val, vals)
+    return best
+
+
+@st.composite
+def _pair_searches(draw):
+    d, g = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    entry = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 6)))
+    if draw(st.booleans()):
+        # a common denominator past int64
+        entry = st.builds(F, st.integers(-4, 4), st.sampled_from((1, _BIG, 3 ** 41)))
+
+    def matrix():
+        return OperatorMatrix(draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                            min_size=d, max_size=d)))
+
+    return matrix(), [matrix() for _ in range(g)], draw(st.sampled_from((CONVEX, SUBCONVEX)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_searches())
+def test_batched_pair_search_matches_fraction_loop(case):
+    T, gens, mode = case
+    assert _search_pair(T, gens, mode) == _reference_search_pair(T, gens, mode)
+
+
+def test_pair_search_clamps_subconvex_bound_to_zero():
+    # every pairing of -I against (1, 1) is negative; zero is still in the
+    # subconvex hull, so the bound is 0, not -2
+    T = OperatorMatrix([[F(1, 2), F(1, 2)], [0, 0]])
+    gens = [OperatorMatrix([[-1, 0], [0, -1]])]
+    found = _search_pair(T, gens, SUBCONVEX)
+    assert found == _reference_search_pair(T, gens, SUBCONVEX)
+    gap, u, v, bound, t_val, vals = found
+    assert bound == 0 and max(vals) < 0 and gap == t_val
+    convex = _search_pair(T, gens, CONVEX)
+    assert convex == _reference_search_pair(T, gens, CONVEX)
+    assert convex[3] == max(convex[5]) < 0
+
+
+def test_pair_search_keeps_the_first_of_tied_pairs():
+    # 2I against I: (1, 1) and (-1, -1) both gap 2, the largest; the first wins
+    T, gens = OperatorMatrix([[2, 0], [0, 2]]), [OperatorMatrix.identity(2)]
+    found = _search_pair(T, gens, CONVEX)
+    assert found == _reference_search_pair(T, gens, CONVEX)
+    ones = (F(1), F(1))
+    assert found[0] == 2 and found[1] == ones and found[2] == ones
+    minus = (F(-1), F(-1))
+    assert _evaluate(minus, T, minus) - _evaluate(minus, gens[0], minus) == 2
+
+
+def test_pair_search_on_numerators_past_int64():
+    # the common denominator is _BIG * 3^41, so every scaled entry is a big int
+    T = OperatorMatrix([[F(3, _BIG), 1], [0, F(1, 3 ** 41)]])
+    gens = [OperatorMatrix([[F(1, _BIG), 0], [0, 1]]), OperatorMatrix([[0, 1], [1, 0]])]
+    for mode in (CONVEX, SUBCONVEX):
+        found = _search_pair(T, gens, mode)
+        assert found is not None
+        assert found == _reference_search_pair(T, gens, mode)
+
+
+def test_repeated_generator_names_are_refused():
+    T = OperatorMatrix([[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]])
+    gens, _ = permutation_generators(2)
+    with pytest.raises(ValueError, match="repeated"):
+        hull_membership(T, gens, names=["a", "a"])
+    res = hull_membership(T, gens, names=["a", "b"])
+    assert res.coefficients == {"a": F(3, 4), "b": F(1, 4)}
