@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .isometries import (SignedPermutation, all_permutations,
                          all_signed_permutations, is_lp_isometry)
-from .linalg import EXACT, OperatorMatrix, PNorm, as_fraction
+from .linalg import EXACT, OperatorMatrix, PNorm
 from .simplex import solve_equalities
 
 GENERATOR_CAP = 5000
