@@ -210,18 +210,34 @@ class ScaledBlockMap:
 class FirstBlockMap:
     """Embedding into, or read-out of, the first of `blocks` stacked copies of a space.
 
-    Between an "embed" and a "readout" map, a block operator compresses to
-    its (0, 0) block, which is why the compression never materializes them.
+    A read-out map with `reads` reads block row k through ``reads[k]`` and
+    sums; without it, it reads block row 0 alone, as the identity.  Between
+    an "embed" and a "readout" map a block operator therefore compresses to
+    the sum of ``reads[k]`` times its sub-block in block row k and block
+    column 0, which is why the compression never materializes them.
     """
 
     orientation: str            # "embed" | "readout"
     blocks: int
     dim: int
     mode: str
+    reads: tuple[OperatorMatrix, ...] | None = None
+
+    def __post_init__(self):
+        if self.reads is not None and (
+                self.orientation != "readout" or len(self.reads) != self.blocks
+                or any(r.shape != (self.dim, self.dim) or r.mode != self.mode
+                       for r in self.reads)):
+            raise ValueError("reads must give a read-out map one dim x dim matrix per block")
 
     def to_matrix(self) -> OperatorMatrix:
-        embed = _first_block(self.blocks, self.dim, self.mode)
-        return embed if self.orientation == "embed" else embed.transpose()
+        """The dense map: the read-out blocks side by side, or their transpose for "embed"."""
+        reads = self.reads or ((OperatorMatrix.identity(self.dim, self.mode),)
+                               + (OperatorMatrix.zeros(self.dim, self.dim, self.mode),)
+                               * (self.blocks - 1))
+        readout = OperatorMatrix([[x for r in reads for x in r.row_entries(i)]
+                                  for i in range(self.dim)], self.mode)
+        return readout if self.orientation == "readout" else readout.transpose()
 
 
 class BlockDiagonalOperator:
@@ -431,9 +447,9 @@ class DilationTriple:
     """(J, U_family, Q) on a bigger space, certified for words up to n_guarantee."""
 
     space: SpaceDescriptor
-    J: ScaledBlockMap | FirstBlockMap | OperatorMatrix
-    Q: ScaledBlockMap | FirstBlockMap | OperatorMatrix
-    U_family: dict[str, OperatorMatrix | BlockDiagonalOperator]
+    J: ScaledBlockMap | FirstBlockMap
+    Q: ScaledBlockMap | FirstBlockMap
+    U_family: dict[str, BlockDiagonalOperator]
     n_guarantee: int | float
     mode: str
 
@@ -441,8 +457,7 @@ class DilationTriple:
         # _compress counts the N block rows of a slot-0 U as N copies of its
         # slot-0 rows, which holds only if the rotation tau keeps every block
         # in its weight class; check that once, here
-        taus = {id(u.tau): u.tau for u in self.U_family.values()
-                if isinstance(u, BlockDiagonalOperator) and u.tau is not None}
+        taus = {id(u.tau): u.tau for u in self.U_family.values() if u.tau is not None}
         for tau in taus.values():
             if (not isinstance(self.J, ScaledBlockMap) or len(tau) != self.J.block_count
                     or not np.array_equal(self.J.classes[tau], self.J.classes)):
@@ -493,7 +508,10 @@ def _require_isometries(named, p: PNorm):
 
 
 def trivial_dilation(isometries: Mapping[str, OperatorMatrix], p: PNorm) -> DilationTriple:
-    """Isometries dilate themselves: J = Q = identity, every word exact."""
+    """Isometries dilate themselves: J = Q = identity, every word exact.
+
+    Each U is one outer block holding one sub-block, the isometry itself.
+    """
     items = list(isometries.items())
     if not items:
         raise ValueError("need at least one isometry")
@@ -503,9 +521,11 @@ def trivial_dilation(isometries: Mapping[str, OperatorMatrix], p: PNorm) -> Dila
         if t.rows != d or t.mode != mode:
             raise ValueError("isometries must share size and mode")
     _require_isometries(items, p)
-    eye = OperatorMatrix.identity(d, mode)
     space = SpaceDescriptor(d, p, f"X itself, dim {d}")
-    return DilationTriple(space, eye, eye, dict(items), INFINITE_GUARANTEE, mode)
+    u_family = {name: BlockDiagonalOperator.from_blocks([t]) for name, t in items}
+    return DilationTriple(space, FirstBlockMap("embed", 1, d, mode),
+                          FirstBlockMap("readout", 1, d, mode), u_family,
+                          INFINITE_GUARANTEE, mode)
 
 
 def _slot0_operator(isos, first: np.ndarray, tau: np.ndarray, N: int,
@@ -739,21 +759,6 @@ def rationalize_family(family: Mapping[str, ConvexCombination],
     return {name: _expand_to_denominator(combo, lcd) for name, combo in family.items()}
 
 
-def _block_cycle(b: int, s: int, mode: str) -> OperatorMatrix:
-    """b x b grid of size-s blocks; block row k holds I in block column k - 1 (mod b)."""
-    rows = [[0] * (b * s) for _ in range(b * s)]
-    for blk in range(b):
-        src = ((blk - 1) % b) * s
-        for i in range(s):
-            rows[blk * s + i][src + i] = 1
-    return OperatorMatrix(rows, mode)
-
-
-def _first_block(b: int, s: int, mode: str) -> OperatorMatrix:
-    """Embedding of a size-s space as the first of b stacked blocks."""
-    return OperatorMatrix([[int(i == j) for j in range(s)] for i in range(b * s)], mode)
-
-
 def zero_augment(u_family: Mapping[str, OperatorMatrix], N: int,
                  p: PNorm) -> DilationTriple:
     """Adjoin the zero operator to a family of isometries on Y.
@@ -798,10 +803,11 @@ def zero_augment_targets(u_family: Mapping[str, OperatorMatrix]) -> dict[str, Op
 def shift_dilation(T: OperatorMatrix, window: int, label: str = "T") -> DilationTriple:
     """Cyclic truncation of the shift dilation for an l^1 contraction.
 
-    U rotates W+1 blocks one step (an invertible l^1 isometry), J injects
-    into block 0 and Q reads sum(T^k x_k), so Q U^n J lands on T^n exactly
-    for n <= W; one step further the window wraps and the equality breaks,
-    hence n_guarantee = W.
+    U rotates W+1 blocks one step (an invertible l^1 isometry): one outer
+    block whose block row k holds I in block column k - 1 (mod W+1).  J
+    injects into block 0 and Q reads sum(T^k x_k), so Q U^n J lands on T^n
+    exactly for n <= W; one step further the window wraps and the equality
+    breaks, hence n_guarantee = W.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -816,23 +822,21 @@ def shift_dilation(T: OperatorMatrix, window: int, label: str = "T") -> Dilation
     powers = [OperatorMatrix.identity(d, mode)]
     for _ in range(window):
         powers.append(powers[-1] @ T)
-    q = OperatorMatrix([[x for t in powers for x in t.row_entries(i)] for i in range(d)],
-                       mode)
-    u = _block_cycle(b, d, mode)
+    u = BlockDiagonalOperator.from_blocks(
+        [OperatorMatrix.identity(d, mode)] * b, (np.arange(b) - 1) % b, count=1)
     space = SpaceDescriptor(
         b * d, None, f"l^1 cyclic window of {b} blocks of dim {d}")
-    return DilationTriple(space, _first_block(b, d, mode), q, {label: u}, window, mode)
+    return DilationTriple(space, FirstBlockMap("embed", b, d, mode),
+                          FirstBlockMap("readout", b, d, mode, tuple(powers)),
+                          {label: u}, window, mode)
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def _identity_operator(triple: DilationTriple):
-    sample = next(iter(triple.U_family.values()))
-    if isinstance(sample, BlockDiagonalOperator):
-        return sample.identity_like()
-    return OperatorMatrix.identity(sample.rows, triple.mode)
+def _identity_operator(triple: DilationTriple) -> BlockDiagonalOperator:
+    return next(iter(triple.U_family.values())).identity_like()
 
 
 def _word_operator(triple: DilationTriple, word: Sequence[str]):
@@ -890,22 +894,25 @@ def compressed_powers(triple: DilationTriple, n_max: int,
 
 def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
     j, q = triple.J, triple.Q
-    if isinstance(j, OperatorMatrix):
-        if not isinstance(middle, OperatorMatrix):
-            raise ValueError("dense J and Q need a dense middle factor")
-        return (q @ middle) @ j
     if not isinstance(middle, BlockDiagonalOperator) or middle.stack.shape[1] != j.dim:
-        raise ValueError("structured J and Q need a block operator on blocks of their size")
+        raise ValueError("J and Q need a block operator on blocks of their size")
     if isinstance(j, FirstBlockMap):
         if not isinstance(q, FirstBlockMap) or (q.blocks, q.dim) != (j.blocks, j.dim):
             raise ValueError("J and Q first-block maps do not match")
         if middle.count != 1 or middle.copies != j.blocks:
             raise ValueError("block partition mismatch")
-        # block row 0 holds one sub-block; it is the (0, 0) block only when
-        # it sits in block column 0
-        if middle.perm[0] != 0:
-            return OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
-        return _block_matrix(middle.stack[0], middle.mode, middle.denominator)
+        if q.reads is None:
+            # block row 0 holds one sub-block; it is the (0, 0) block only
+            # when it sits in block column 0
+            if middle.perm[0] != 0:
+                return OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
+            return _block_matrix(middle.stack[0], middle.mode, middle.denominator)
+        # J feeds block column 0; Q reads every block row whose sub-block sits there
+        got = OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
+        for i in np.flatnonzero(middle.perm == 0).tolist():
+            got = got + q.reads[i] @ _block_matrix(middle.stack[i], middle.mode,
+                                                   middle.denominator)
+        return got
     if (not isinstance(q, ScaledBlockMap) or q.class_bases != j.class_bases
             or (q.classes is not j.classes and not np.array_equal(q.classes, j.classes))):
         raise ValueError("J and Q block scalings do not match")

@@ -29,8 +29,7 @@ from .hull import (CONVEX, GENERATOR_CAP, SNAP_DENOMINATOR, SUBCONVEX,
                    hull_membership, permutation_generators,
                    signed_permutation_generators, snap_matrix)
 from .isometries import decompose_contraction, rationalize_decomposition
-from .linalg import (EXACT, FLOAT64, ModeError, OperatorMatrix, PNorm,
-                     operator_residual)
+from .linalg import EXACT, FLOAT64, OperatorMatrix, PNorm, operator_residual
 from .schaffer import cross_validate, schaffer_dilation
 
 DEFAULT_TOLERANCE = 1e-9
@@ -123,7 +122,7 @@ def _resolve_p(payload_p, flag_p) -> PNorm:
         chosen = "2"
     try:
         return PNorm.parse(chosen)
-    except (ValueError, ModeError) as exc:
+    except ValueError as exc:
         raise PayloadError(f"bad p value {chosen!r}: {exc}") from exc
 
 
@@ -150,7 +149,7 @@ def _parse_combination(obj, flag_p) -> tuple[ConvexCombination, PNorm, list[str]
         labels = tuple(str(x) for x in labels)
     try:
         combo = ConvexCombination(tuple(mats), tuple(weights), labels)
-    except (ValueError, ModeError) as exc:
+    except ValueError as exc:
         raise PayloadError(f"bad combination: {exc}") from exc
     return combo, p, warnings
 
@@ -247,10 +246,7 @@ def _cmd_build(args) -> int:
     combo, p, warnings = _parse_combination(payload, args.p)
     params = {"N": args.N, "p": str(p), "label": args.label}
     input_hash = _hash_inputs("build", payload, params)
-    try:
-        triple = build_n_dilation(combo, args.N, p, label=args.label)
-    except (ValueError, ModeError) as exc:
-        raise PayloadError(str(exc)) from exc
+    triple = build_n_dilation(combo, args.N, p, label=args.label)
     composed = check_word(triple, {args.label: combo.operator()}, (), args.tolerance)
     results = [_check("compose-identity", composed.residual, composed.passed, word=[])]
     provenance = {
@@ -273,16 +269,9 @@ def _parse_word(text: str, triple) -> tuple[str, ...]:
 
 
 def _verify(triple, targets, args, max_len=None, words=None):
-    """verify_dilation with the command's tolerance, seed and word cap.
-
-    Arguments it rejects, such as a negative length or a word cap below 1,
-    are input errors.
-    """
-    try:
-        return verify_dilation(triple, targets, max_len, tolerance=args.tolerance,
-                               seed=args.seed, word_cap=args.word_cap, words=words)
-    except ValueError as exc:
-        raise PayloadError(str(exc)) from exc
+    """verify_dilation with the command's tolerance, seed and word cap."""
+    return verify_dilation(triple, targets, max_len, tolerance=args.tolerance,
+                           seed=args.seed, word_cap=args.word_cap, words=words)
 
 
 def _cmd_verify(args) -> int:
@@ -295,10 +284,7 @@ def _cmd_verify(args) -> int:
               "tolerance": args.tolerance, "seed": args.seed,
               "word_cap": args.word_cap}
     input_hash = _hash_inputs("verify", payload, params)
-    try:
-        triple = build_n_dilation(combo, args.N, p, label=args.label)
-    except (ValueError, ModeError) as exc:
-        raise PayloadError(str(exc)) from exc
+    triple = build_n_dilation(combo, args.N, p, label=args.label)
     targets = {args.label: combo.operator()}
     if args.word:
         vr = _verify(triple, targets, args,
@@ -333,11 +319,8 @@ def _cmd_simultaneous(args) -> int:
     params = {"N": args.N, "p": str(p), "m_cap": args.m_cap,
               "tolerance": args.tolerance, "seed": args.seed}
     input_hash = _hash_inputs("simultaneous", payload, params)
-    try:
-        rationalized = rationalize_family(family, m_cap=args.m_cap)
-        triple = build_simultaneous_n_dilation(rationalized, args.N, p)
-    except (ValueError, ModeError) as exc:
-        raise PayloadError(str(exc)) from exc
+    rationalized = rationalize_family(family, m_cap=args.m_cap)
+    triple = build_simultaneous_n_dilation(rationalized, args.N, p)
     targets = {name: combo.operator() for name, combo in family.items()}
     vr = _verify(triple, targets, args, args.N)
     results = _word_results(vr.checks)
@@ -358,10 +341,7 @@ def _cmd_zero_augment(args) -> int:
     params = {"N": args.N, "p": str(p), "tolerance": args.tolerance,
               "seed": args.seed}
     input_hash = _hash_inputs("zero-augment", payload, params)
-    try:
-        triple = zero_augment(members, args.N, p)
-    except (ValueError, ModeError) as exc:
-        raise PayloadError(str(exc)) from exc
+    triple = zero_augment(members, args.N, p)
     targets = zero_augment_targets(members)
     vr = _verify(triple, targets, args, args.N)
     results = _word_results(vr.checks)
@@ -381,10 +361,7 @@ def _cmd_shift(args) -> int:
     params = {"window": args.window, "tolerance": args.tolerance,
               "seed": args.seed}
     input_hash = _hash_inputs("shift", payload, params)
-    try:
-        triple = shift_dilation(mat, args.window)
-    except (ValueError, ModeError) as exc:
-        raise PayloadError(str(exc)) from exc
+    triple = shift_dilation(mat, args.window)
     vr = _verify(triple, {"T": mat}, args, args.window)
     results = _word_results(vr.checks)
     provenance = {
@@ -404,11 +381,8 @@ def _cmd_decompose(args) -> int:
     params = {"max_denominator": args.max_denominator,
               "tolerance": args.tolerance}
     input_hash = _hash_inputs("decompose", payload, params)
-    try:
-        decomp = decompose_contraction(mat)
-        snapped, snap_err = rationalize_decomposition(decomp, args.max_denominator)
-    except (ValueError, ModeError) as exc:
-        raise PayloadError(str(exc)) from exc
+    decomp = decompose_contraction(mat)
+    snapped, snap_err = rationalize_decomposition(decomp, args.max_denominator)
     recon_res = operator_residual(decomp.reconstruct(),
                                   mat.to_float() if mat.mode == EXACT else mat)
     weight_res = abs(sum(decomp.weights) - 1.0)
@@ -481,11 +455,8 @@ def _cmd_hull_check(args) -> int:
     if mat.mode == FLOAT64:
         mat, snap_error = snap_matrix(mat, args.max_denominator)
         warnings.append("float matrix snapped to the rational grid")
-    try:
-        gens, names = _load_generators(args.generators, mat.rows)
-        outcome = hull_membership(mat, gens, mode=args.mode, names=names)
-    except (ValueError, ModeError) as exc:
-        raise PayloadError(str(exc)) from exc
+    gens, names = _load_generators(args.generators, mat.rows)
+    outcome = hull_membership(mat, gens, mode=args.mode, names=names)
     membership = {"status": outcome.status, "mode": outcome.mode}
     if outcome.member:
         membership["coefficients"] = {
@@ -579,10 +550,7 @@ def _cmd_oracle(args) -> int:
     params = {"N": args.N, "cross": bool(args.cross),
               "tolerance": args.tolerance}
     input_hash = _hash_inputs("oracle", payload, params)
-    try:
-        dil = schaffer_dilation(mat, args.N)
-    except (ValueError, ModeError) as exc:
-        raise PayloadError(str(exc)) from exc
+    dil = schaffer_dilation(mat, args.N)
     ortho = dil.orthogonality_defect()
     results = [_check("orthogonality", ortho, ortho <= _ORTHOGONALITY_TOL)]
     base = mat.to_float() if mat.mode == EXACT else mat
@@ -597,10 +565,7 @@ def _cmd_oracle(args) -> int:
         "caps": {},
     }
     if args.cross:
-        try:
-            report = cross_validate(mat, args.N)
-        except (ValueError, ModeError) as exc:
-            raise PayloadError(str(exc)) from exc
+        report = cross_validate(mat, args.N)
         for n, res in enumerate(report.decomposition_residuals):
             results.append(_check(f"cross-decomposition n={n}", res,
                                   res <= _CROSS_TOL))
@@ -752,7 +717,8 @@ def run(argv=None) -> int:
             raise PayloadError(f"--tolerance must be finite and nonnegative, "
                                f"got {args.tolerance!r}")
         return args.func(args)
-    except PayloadError as exc:
+    except (PayloadError, ValueError) as exc:
+        # ValueError covers ModeError: the library's refusals of an input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -295,8 +295,6 @@ def hull_membership(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
     c = -y[d * d]
     f_value = _pairing(functional, T)
     g_values = [_pairing(functional, g) for g in gens]
-    if f_value <= c or any(val > c for val in g_values):
-        raise ArithmeticError("Farkas dual failed direct re-evaluation")
 
     factored = _rank_one_factor(functional)
     if factored is not None:

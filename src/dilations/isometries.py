@@ -50,8 +50,9 @@ class SignedPermutation:
         d = self.dim
         rows = [[0] * d for _ in range(d)]
         for j in range(d):
-            rows[self.perm[j]][j] = self.signs[j]
-        m = OperatorMatrix(rows)
+            rows[self.perm[j]][j] = int(self.signs[j])
+        # __post_init__ has checked the signs, so the rows need no re-validation
+        m = OperatorMatrix._from_exact_rows(rows)
         return m.to_float() if mode == FLOAT64 else m
 
 

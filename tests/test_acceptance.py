@@ -172,7 +172,7 @@ def test_shift_dilation_contractions():
         if nrm > 1:
             T = T.scale(F(1) / nrm)       # exact rescale, lands on the sphere
         triple = shift_dilation(T, W)
-        u, q = triple.U_family["T"], triple.Q
+        u, q = triple.U_family["T"].to_matrix(), triple.Q.to_matrix()
         if any(compressed_power(triple, n) != T.power(n) for n in range(W + 1)):
             bad.append(("powers", seed))
         cols_ok = all(

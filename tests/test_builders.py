@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dilations import builders
 from dilations.builders import (INFINITE_GUARANTEE, BlockDiagonalOperator,
-                                ConvexCombination, ScaledBlockMap,
+                                ConvexCombination, FirstBlockMap, ScaledBlockMap,
                                 build_n_dilation,
                                 build_simultaneous_n_dilation, check_word,
                                 compress_word,
@@ -120,6 +120,9 @@ def test_qj_identity_every_builder():
 
     t5 = trivial_dilation({"A": SWAP}, P3)
     assert compress_word(t5, ()) == I2
+
+    assert all(isinstance(u, BlockDiagonalOperator)
+               for t in (t1, t2, t3, t4, t5) for u in t.U_family.values())
 
 
 def test_embedding_is_isometric_exact():
@@ -284,7 +287,7 @@ def test_shift_dilation_u_is_l1_isometry():
     T = OperatorMatrix([[F(1, 2)]])
     W = 4
     triple = shift_dilation(T, W)
-    u = triple.U_family["T"]
+    u = triple.U_family["T"].to_matrix()
     # every column is exactly one basis vector: an invertible l^1 isometry
     for j in range(u.cols):
         col = [u[i, j] for i in range(u.rows)]
@@ -296,7 +299,7 @@ def test_shift_dilation_u_is_l1_isometry():
 def test_shift_dilation_q_column_contractive():
     T = OperatorMatrix([[F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])
     triple = shift_dilation(T, 4)
-    q = triple.Q
+    q = triple.Q.to_matrix()
     for j in range(q.cols):
         assert sum(abs(q[i, j]) for i in range(q.rows)) <= 1
 
@@ -340,6 +343,17 @@ def test_scaled_block_map_validation():
         ScaledBlockMap("embed", (F(1, 2),), F(3, 2), 1, 1, EXACT)
     with pytest.raises(ValueError):
         ScaledBlockMap("embed", (F(-1, 2),), F(1, 3), 1, 1, EXACT)
+
+
+@pytest.mark.parametrize("orientation, reads", [
+    ("embed", (I2, SWAP)),                   # only a read-out map reads block rows
+    ("readout", (I2,)),                      # one matrix per block
+    ("readout", (I2, OperatorMatrix.identity(3))),
+    ("readout", (I2, SWAP.to_float())),
+])
+def test_first_block_map_reads_validation(orientation, reads):
+    with pytest.raises(ValueError, match="reads"):
+        FirstBlockMap(orientation, 2, 2, EXACT, reads)
 
 
 def test_block_diagonal_operator_modes():
@@ -613,20 +627,28 @@ def test_n_dilation_u_is_one_sub_block_per_row():
     assert u.shift == 1
 
 
-@pytest.mark.parametrize("members, p", [
-    ({"A": SWAP, "B": NEG}, P3),
-    ({"A": R5, "B": R13, "C": SWAP}, P2),
-    ({"A": OperatorMatrix(np.array([[math.cos(0.4), -math.sin(0.4)],
-                                    [math.sin(0.4), math.cos(0.4)]])),
-      "B": OperatorMatrix(np.array([[math.cos(2.1), math.sin(2.1)],
-                                    [math.sin(2.1), -math.cos(2.1)]]))}, P2),
-], ids=["signed-p3", "rational-p2", "float-p2"])
-def test_zero_augment_compression_matches_dense(members, p):
-    N = 3
-    triple = zero_augment(members, N, p)
+HALVES = OperatorMatrix([[F(1, 2), F(1, 4)], [F(1, 4), F(1, 2)]])
+_DENSE_CASES = {
+    "signed-p3": lambda: (zero_augment({"A": SWAP, "B": NEG}, 3, P3), 3),
+    "rational-p2": lambda: (zero_augment({"A": R5, "B": R13, "C": SWAP}, 3, P2), 3),
+    "float-p2": lambda: (zero_augment(
+        {"A": OperatorMatrix(np.array([[math.cos(0.4), -math.sin(0.4)],
+                                       [math.sin(0.4), math.cos(0.4)]])),
+         "B": OperatorMatrix(np.array([[math.cos(2.1), math.sin(2.1)],
+                                       [math.sin(2.1), -math.cos(2.1)]]))}, 3, P2), 3),
+    # past the window the cycle wraps, and the oracle must agree there too
+    **{f"shift-{mode}-W{w}": (lambda t=t, w=w: (shift_dilation(t, w), w + 2))
+       for w in range(1, 5) for mode, t in (("exact", HALVES), ("float", HALVES.to_float()))},
+    "trivial-p3": lambda: (trivial_dilation({"A": SWAP, "B": NEG}, P3), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_DENSE_CASES))
+def test_zero_augment_compression_matches_dense(case):
+    triple, max_len = _DENSE_CASES[case]()
     q, j = triple.Q.to_matrix(), triple.J.to_matrix()
-    for n in range(N + 1):
-        for word in itertools.product(tuple(members) + ("0",), repeat=n):
+    for n in range(max_len + 1):
+        for word in itertools.product(triple.labels, repeat=n):
             dense = OperatorMatrix.identity(j.rows, triple.mode)
             for lbl in word:
                 dense = dense @ triple.U_family[lbl].to_matrix()

@@ -410,6 +410,20 @@ def test_non_finite_entries_are_input_errors(argv, value, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_denominator", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["hull-check", "--generators", "perms"],
+    ["decompose"],
+], ids=lambda argv: argv[0])
+def test_max_denominator_below_one_is_input_error(argv, max_denominator, tmp_path, capsys):
+    matrix = _write(tmp_path, "matrix.json", _mat([[0.5, 0.25], [0.25, 0.5]]))
+    code = run(argv[:1] + ["--matrix", matrix, "--max-denominator", max_denominator]
+               + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "denominator" in captured.err
+
+
 def test_oversized_dilation_is_input_error(tmp_path, capsys):
     # m = 4, N = 14: 4^14 blocks would need terabytes; refused before any allocation
     payload = {"p": "3", "isometries": [_mat([[1, 0], [0, 1]]), _mat([[0, 1], [1, 0]]),

@@ -134,6 +134,23 @@ def test_scaled_identity_leaves_convex_hull():
     assert sub.member and sub.slack == F(1, 3)
 
 
+@pytest.mark.parametrize("bogus", [lambda y: [F(0)] * len(y), lambda y: [-x for x in y]],
+                         ids=["zero", "negated"])
+def test_bogus_farkas_dual_is_caught(bogus, monkeypatch):
+    # the certificate's own re-derivation is the one check of the LP's dual
+    gens, names = permutation_generators(3)
+    T = OperatorMatrix.identity(3).scale(F(2, 3))
+    real = solve_equalities
+
+    def bogus_solve(rows, rhs):
+        res = real(rows, rhs)
+        return Phase1Result(False, None, tuple(bogus(res.dual)), res.objective)
+
+    monkeypatch.setattr("dilations.hull.solve_equalities", bogus_solve)
+    with pytest.raises(ArithmeticError, match="certificate failed"):
+        hull_membership(T, gens, names=names)
+
+
 def test_exact_input_required():
     gens, _ = permutation_generators(2)
     with pytest.raises(ValueError):
