@@ -36,6 +36,7 @@ from .isometries import is_lp_isometry
 
 INFINITE_GUARANTEE = math.inf
 WORD_CAP = 10_000
+WORD_LABEL_CAP = 100 * WORD_CAP   # labels in all of a word set's words: WORD_CAP of length 100
 STACK_BYTES_CAP = 64 * 2 ** 20    # a builder's U stacks, at 8 bytes per entry
 
 _L1_CONTRACTION_TOL = 1e-12
@@ -243,28 +244,27 @@ class FirstBlockMap:
 class BlockDiagonalOperator:
     """Direct sum of `count` equal square blocks, each one block-monomial.
 
-    The operator is a grid of s x s sub-blocks with exactly one nonzero
-    sub-block per block row.  It is stored in one of two layouts.
+    Each outer block is a grid of `copies` x `copies` sub-blocks of size
+    s x s with exactly one nonzero sub-block per block row.  ``stack[a]`` is
+    the sub-block in block row 0 of outer block a, and ``tau`` is a
+    permutation of the outer blocks with tau^copies = 1.  Block row k of
+    outer block a holds ``stack[tau^k a]`` in block column
+    (k + shift) mod copies, so the operator commutes with tau and `copies`
+    sub-blocks cost the memory of one.  The builders' special cases:
 
-    Plain layout (``tau`` is None): ``stack[i]`` sits in block row i and
-    block column ``perm[i]``.  Each outer block of ``size`` = copies * s
-    spans `copies` consecutive block rows, and ``perm`` never leaves its
-    outer block.  Plain block-diagonal operators have ``perm = arange`` and
-    one sub-block per outer block.
+    - the N-dilation builders: tau is the slot rotation of the alphas,
+      copies = N and shift = 1;
+    - :meth:`from_blocks` and the float constructor: tau is the identity
+      and copies = 1, the plain block-diagonal operator of the stack;
+    - ``zero_augment``'s members, and ``shift_dilation``'s U: one outer
+      block, one sub-block placed ``shift`` block columns to the right.
 
-    Slot-0 layout (the N-dilation builders): ``stack[a]`` is only the
-    sub-block in block row 0 of outer block a, and ``tau`` is a permutation
-    of the outer blocks (the slot rotation).  Block row k of outer block a
-    holds ``stack[tau^k a]`` in block column (k + shift) mod copies, so the
-    operator commutes with the rotation and N sub-blocks cost the memory of
-    one.  ``perm`` is ``tau^shift``.
-
-    A product is one gather and one batched ``np.matmul`` in both layouts:
-    row i of A @ B is ``A.stack[i] @ B.stack[A.perm[i]]``, its perm is
-    ``B.perm[A.perm]`` and, in the slot-0 layout, the shifts add.  Both modes
-    keep the stack as a numpy array.  In float mode it holds the entries and
-    the denominator is 1.  In exact mode it holds integer numerators over
-    one common positive ``denominator``: signed permutations have D = 1,
+    ``perm`` is tau^shift.  A product is one gather and one batched
+    ``np.matmul``: row a of A @ B is ``A.stack[a] @ B.stack[A.perm[a]]``,
+    its perm is ``B.perm[A.perm]`` and the shifts add.  Both modes keep the
+    stack as a numpy array.  In float mode it holds the entries and the
+    denominator is 1.  In exact mode it holds integer numerators over one
+    common positive ``denominator``: signed permutations have D = 1,
     rational orthogonal matrices D = 5, 13, 65, ....  ``bound`` caps the
     largest absolute row sum of the numerators; it multiplies along
     products, and the stack stays int64 only while the bound proves that
@@ -275,35 +275,30 @@ class BlockDiagonalOperator:
     __slots__ = ("mode", "count", "copies", "stack", "perm", "denominator", "bound",
                  "tau", "shift")
 
-    def __init__(self, stack, perm=None, count=None):
-        """A float operator; exact operators come from :meth:`from_blocks`.
-
-        `perm` defaults to ``arange`` and `count` to one outer block per
-        sub-block, which is the plain block-diagonal operator of `stack`.
-        """
+    def __init__(self, stack):
+        """The float block-diagonal operator of `stack`; see :meth:`from_blocks` for exact."""
         arr = np.asarray(stack, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError("stack must be (sub-blocks, size, size)")
-        self._set(FLOAT64, arr, *_layout(len(arr), perm, count), 1, None)
+        tau = np.arange(len(arr))
+        self._set(FLOAT64, arr, tau, 1, 0, tau, 1, None)
 
-    def _set(self, mode, stack, perm, count, denominator, bound,
-             tau=None, copies=None, shift=0):
-        self.mode, self.stack, self.perm, self.count = mode, stack, perm, count
-        self.copies = len(stack) // count if tau is None else copies
+    def _set(self, mode, stack, tau, copies, shift, perm, denominator, bound):
+        self.mode, self.stack, self.count = mode, stack, len(stack)
+        self.tau, self.copies, self.shift, self.perm = tau, copies, shift, perm
         self.denominator, self.bound = denominator, bound
-        self.tau, self.shift = tau, shift
 
     @classmethod
-    def _of(cls, mode, stack, perm, count, denominator, bound,
-            **slot0) -> "BlockDiagonalOperator":
+    def _of(cls, mode, stack, tau, copies, shift, perm, denominator,
+            bound) -> "BlockDiagonalOperator":
         """Internal fast path: the arrays already follow the class invariants."""
         op = object.__new__(cls)
-        op._set(mode, stack, perm, count, denominator, bound, **slot0)
+        op._set(mode, stack, tau, copies, shift, perm, denominator, bound)
         return op
 
     @classmethod
-    def from_blocks(cls, blocks, perm=None, count=None) -> "BlockDiagonalOperator":
-        """The operator with sub-blocks `blocks`, laid out as in the constructor."""
+    def from_blocks(cls, blocks) -> "BlockDiagonalOperator":
+        """The block-diagonal operator with the square sub-blocks `blocks`."""
         blocks = list(blocks)
         if not blocks:
             raise ValueError("need at least one block")
@@ -314,19 +309,17 @@ class BlockDiagonalOperator:
                 raise ValueError("blocks must be square and equally sized")
             if b.mode != mode:
                 raise ModeError("blocks must share one mode")
-        if mode == FLOAT64:
-            return cls(np.stack([b.to_ndarray() for b in blocks]), perm, count)
-        stack, den, bound = _integer_stack(blocks)
-        return cls._of(EXACT, stack, *_layout(len(blocks), perm, count), den, bound)
+        rows = np.arange(len(blocks))
+        return _slot0_operator(blocks, rows, rows, 1, 0, mode)
 
     def identity_like(self) -> "BlockDiagonalOperator":
         """The identity on this operator's block layout."""
         n, s = self.stack.shape[:2]
         dtype = float if self.mode == FLOAT64 else np.int64
         stack = np.broadcast_to(np.eye(s, dtype=dtype), (n, s, s)).copy()
-        return BlockDiagonalOperator._of(self.mode, stack, np.arange(n), self.count, 1,
-                                         None if self.mode == FLOAT64 else 1,
-                                         tau=self.tau, copies=self.copies)
+        return BlockDiagonalOperator._of(self.mode, stack, self.tau, self.copies, 0,
+                                         np.arange(n), 1,
+                                         None if self.mode == FLOAT64 else 1)
 
     @property
     def size(self) -> int:
@@ -338,15 +331,8 @@ class BlockDiagonalOperator:
         return self.count * self.size
 
     def _orbits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Stack rows of the block rows of blocks start..stop: [a, k] feeds block row k of block a.
-
-        The plain layout stores every block row, a * copies + k; the slot-0
-        layout stores tau^k a.
-        """
-        blocks = np.arange(start, self.count if stop is None else min(stop, self.count))
-        if self.tau is None:
-            return blocks[:, None] * self.copies + np.arange(self.copies)
-        rows = [blocks]
+        """Stack rows of blocks start..stop: [a, k] = tau^k a feeds block row k of block a."""
+        rows = [np.arange(start, self.count if stop is None else min(stop, self.count))]
         for _ in range(self.copies - 1):
             rows.append(self.tau[rows[-1]])
         return np.stack(rows, axis=1)
@@ -354,16 +340,10 @@ class BlockDiagonalOperator:
     @property
     def blocks(self) -> list[OperatorMatrix]:
         """The outer blocks, materialized densely."""
-        s = self.stack.shape[1]
-        copies = self.copies
-        if self.tau is None:
-            cols = self.perm.reshape(self.count, copies) % copies
-        else:
-            cols = np.broadcast_to((np.arange(copies) + self.shift) % copies,
-                                   (self.count, copies))
+        s, copies = self.stack.shape[1], self.copies
         dense = np.zeros((self.count, copies, s, copies, s), dtype=self.stack.dtype)
         outer, row = np.indices((self.count, copies))
-        dense[outer, row, :, cols, :] = self.stack[self._orbits()]
+        dense[outer, row, :, (row + self.shift) % copies, :] = self.stack[self._orbits()]
         dense = dense.reshape(self.count, self.size, self.size)
         return [_block_matrix(block, self.mode, self.denominator) for block in dense]
 
@@ -372,17 +352,14 @@ class BlockDiagonalOperator:
             return NotImplemented
         if self.mode != other.mode:
             raise ModeError("mode mismatch in block product")
-        if ((self.count, self.copies, self.stack.shape)
-                != (other.count, other.copies, other.stack.shape)
-                or (self.tau is None) != (other.tau is None)
-                or (self.tau is not other.tau and self.tau is not None
-                    and not np.array_equal(self.tau, other.tau))):
+        if ((self.copies, self.stack.shape) != (other.copies, other.stack.shape)
+                or (self.tau is not other.tau and not np.array_equal(self.tau, other.tau))):
             raise ValueError("block partitions differ")
         bound = None if self.mode == FLOAT64 else self.bound * other.bound
         return BlockDiagonalOperator._of(
             self.mode, _gathered_matmul(self.stack, other.stack, self.perm, bound),
-            other.perm[self.perm], self.count, self.denominator * other.denominator, bound,
-            tau=self.tau, copies=self.copies, shift=(self.shift + other.shift) % self.copies)
+            self.tau, self.copies, (self.shift + other.shift) % self.copies,
+            other.perm[self.perm], self.denominator * other.denominator, bound)
 
     def to_matrix(self) -> OperatorMatrix:
         return block_diag(self.blocks)
@@ -407,22 +384,6 @@ def _gathered_matmul(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
     """a[i] @ b[rows[i]] for every i."""
     a, b = _promoted(a, b, bound)
     return np.matmul(a, b[rows])
-
-
-def _layout(n: int, perm, count) -> tuple[np.ndarray, int]:
-    """Checked (perm, count) for n sub-blocks; defaults give block-diagonal."""
-    count = n if count is None else int(count)
-    if count < 1 or n % count:
-        raise ValueError(f"{n} sub-blocks do not split into {count} outer blocks")
-    if perm is None:
-        return np.arange(n), count
-    perm = np.asarray(perm)
-    rows = np.arange(n)
-    copies = n // count
-    if (perm.shape != (n,) or not np.issubdtype(perm.dtype, np.integer)
-            or np.any(perm < 0) or np.any(perm // copies != rows // copies)):
-        raise ValueError("perm must give each sub-block a column in its own outer block")
-    return perm.astype(np.intp), count
 
 
 def _block_matrix(block: np.ndarray, mode: str, den: int) -> OperatorMatrix:
@@ -454,14 +415,16 @@ class DilationTriple:
     mode: str
 
     def __post_init__(self):
-        # _compress counts the N block rows of a slot-0 U as N copies of its
-        # slot-0 rows, which holds only if the rotation tau keeps every block
-        # in its weight class; check that once, here
-        taus = {id(u.tau): u.tau for u in self.U_family.values() if u.tau is not None}
-        for tau in taus.values():
-            if (not isinstance(self.J, ScaledBlockMap) or len(tau) != self.J.block_count
-                    or not np.array_equal(self.J.classes[tau], self.J.classes)):
-                raise ValueError("J's weight classes are not invariant under U's slot rotation")
+        # _compress counts the block rows of U as `copies` copies of its
+        # stack, which holds only if tau keeps every block in its weight
+        # class; check that once, here
+        if isinstance(self.J, ScaledBlockMap):
+            taus = {id(u.tau): u.tau for u in self.U_family.values()}
+            for tau in taus.values():
+                if (len(tau) != self.J.block_count
+                        or not np.array_equal(self.J.classes[tau], self.J.classes)):
+                    raise ValueError(
+                        "J's weight classes are not invariant under U's slot rotation")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -528,20 +491,22 @@ def trivial_dilation(isometries: Mapping[str, OperatorMatrix], p: PNorm) -> Dila
                           INFINITE_GUARANTEE, mode)
 
 
-def _slot0_operator(isos, first: np.ndarray, tau: np.ndarray, N: int,
+def _slot0_operator(mats, first: np.ndarray, tau: np.ndarray, copies: int, shift: int,
                     mode: str) -> BlockDiagonalOperator:
-    """U for one combination in the slot-0 layout.
+    """The operator with ``stack[a] = mats[first[a]]``, laid out by (tau, copies, shift).
 
-    Block a routes slot k through the isometry its slot k picks, reading
-    from slot k+1 cyclically.  That is the slot-0 sub-block of block
-    tau^k a, so U stores only isos[first[a]], the isometry of slot 0.
+    In an N-dilation block a routes slot k through the isometry its slot k
+    picks, reading from slot k+1 cyclically.  That is the slot-0 sub-block
+    of block tau^k a, so U stores only the isometry of slot 0.
     """
     if mode == EXACT:
-        mats, den, bound = _integer_stack(isos)
+        mats, den, bound = _integer_stack(mats)
     else:
-        mats, den, bound = np.stack([t.to_ndarray() for t in isos]), 1, None
-    return BlockDiagonalOperator._of(mode, mats[first], tau, len(first), den, bound,
-                                     tau=tau, copies=N, shift=1 % N)
+        mats, den, bound = np.stack([t.to_ndarray() for t in mats]), 1, None
+    perm = np.arange(len(tau))
+    for _ in range(shift):
+        perm = tau[perm]
+    return BlockDiagonalOperator._of(mode, mats[first], tau, copies, shift, perm, den, bound)
 
 
 def _rows_under_cap(d: int, stacks: int = 1) -> int:
@@ -618,7 +583,7 @@ def _n_dilation(combo: ConvexCombination, N: int, p: PNorm, label: str,
         structure += f", {len(rows)} of the {total} alpha rows"
         turned = np.searchsorted(rows, turned)
     space = SpaceDescriptor(N * len(rows) * d, p, structure)
-    u = _slot0_operator(combo.isometries, rows // m ** (N - 1), turned, N, mode)
+    u = _slot0_operator(combo.isometries, rows // m ** (N - 1), turned, N, 1 % N, mode)
     return DilationTriple(space, j, q, {label: u}, N, mode)
 
 
@@ -707,7 +672,7 @@ def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
     _check_size(m, N, d, stacks=len(members))
     rows = np.arange(m ** N)
     first, tau = rows // m ** (N - 1), _turn(m, N, rows)
-    u_family = {name: _slot0_operator(combo.isometries, first, tau, N, mode)
+    u_family = {name: _slot0_operator(combo.isometries, first, tau, N, 1 % N, mode)
                 for name, combo in members}
     j, q = _scaled_maps((Fraction(1, N * m ** N),), np.zeros(len(rows), dtype=np.intp),
                         N, d, p, mode)
@@ -724,20 +689,21 @@ def rationalize_weights(combo: ConvexCombination, m_cap: int = 64) -> ConvexComb
     The least common denominator of the weights becomes the new m; the
     represented operator is unchanged.
     """
-    lcd = 1
-    for w in combo.weights:
-        lcd = lcd * w.denominator // math.gcd(lcd, w.denominator)
+    return _expand_to_denominator(combo, _common_denominator(combo.weights, m_cap))
+
+
+def _common_denominator(weights, m_cap: int) -> int:
+    lcd = math.lcm(*(w.denominator for w in weights))
     if lcd > m_cap:
         raise ValueError(f"common denominator {lcd} exceeds cap {m_cap}")
-    return _expand_to_denominator(combo, lcd)
+    return lcd
 
 
 def _expand_to_denominator(combo: ConvexCombination, lcd: int) -> ConvexCombination:
+    """Each weight w as w * lcd terms of weight 1/lcd; lcd is a multiple of its denominator."""
     isos, labels = [], []
     for i, w in enumerate(combo.weights):
-        count = int(w * lcd)
-        if count != w * lcd:
-            raise ValueError("weights do not share the requested denominator")
+        count = w.numerator * (lcd // w.denominator)
         isos.extend([combo.isometries[i]] * count)
         if combo.labels is not None:
             labels.extend([combo.labels[i]] * count)
@@ -750,12 +716,7 @@ def rationalize_family(family: Mapping[str, ConvexCombination],
     """Rationalize every member to one common equal-weight count."""
     if not family:
         raise ValueError("empty family")
-    lcd = 1
-    for combo in family.values():
-        for w in combo.weights:
-            lcd = lcd * w.denominator // math.gcd(lcd, w.denominator)
-    if lcd > m_cap:
-        raise ValueError(f"common denominator {lcd} exceeds cap {m_cap}")
+    lcd = _common_denominator([w for combo in family.values() for w in combo.weights], m_cap)
     return {name: _expand_to_denominator(combo, lcd) for name, combo in family.items()}
 
 
@@ -767,7 +728,9 @@ def zero_augment(u_family: Mapping[str, OperatorMatrix], N: int,
     label "0" acts as the block cycle pushing content away from the first
     block; any word of length <= N that uses "0" therefore reads out zero,
     and words without "0" reduce to the plain product.  Every U is one outer
-    block of N+1 sub-blocks, and J, Q embed into and read out of the first.
+    block of N+1 block rows that stores one sub-block: a member on the
+    diagonal (shift 0), "0" as I one block column to the right (shift 1).
+    J and Q embed into and read out of the first block.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -782,11 +745,9 @@ def zero_augment(u_family: Mapping[str, OperatorMatrix], N: int,
         if t.rows != s or t.mode != mode:
             raise ValueError("family members must share size and mode")
     _require_isometries(items, p)
-    b = N + 1
-    family_out = {name: BlockDiagonalOperator.from_blocks([t] * b, count=1)
-                  for name, t in items}
-    family_out["0"] = BlockDiagonalOperator.from_blocks(
-        [OperatorMatrix.identity(s, mode)] * b, (np.arange(b) + 1) % b, count=1)
+    b, one = N + 1, np.zeros(1, dtype=np.intp)
+    family_out = {name: _slot0_operator([t], one, one, b, 0, mode) for name, t in items}
+    family_out["0"] = _slot0_operator([OperatorMatrix.identity(s, mode)], one, one, b, 1, mode)
     space = SpaceDescriptor(b * s, p, f"l^{p} stack of {b} copies of Y, dim Y={s}")
     return DilationTriple(space, FirstBlockMap("embed", b, s, mode),
                           FirstBlockMap("readout", b, s, mode), family_out, N, mode)
@@ -804,10 +765,10 @@ def shift_dilation(T: OperatorMatrix, window: int, label: str = "T") -> Dilation
     """Cyclic truncation of the shift dilation for an l^1 contraction.
 
     U rotates W+1 blocks one step (an invertible l^1 isometry): one outer
-    block whose block row k holds I in block column k - 1 (mod W+1).  J
-    injects into block 0 and Q reads sum(T^k x_k), so Q U^n J lands on T^n
-    exactly for n <= W; one step further the window wraps and the equality
-    breaks, hence n_guarantee = W.
+    block whose block row k holds I in block column k - 1 (mod W+1), the
+    shift W.  J injects into block 0 and Q reads sum(T^k x_k), so Q U^n J
+    lands on T^n exactly for n <= W; one step further the window wraps and
+    the equality breaks, hence n_guarantee = W.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -822,8 +783,8 @@ def shift_dilation(T: OperatorMatrix, window: int, label: str = "T") -> Dilation
     powers = [OperatorMatrix.identity(d, mode)]
     for _ in range(window):
         powers.append(powers[-1] @ T)
-    u = BlockDiagonalOperator.from_blocks(
-        [OperatorMatrix.identity(d, mode)] * b, (np.arange(b) - 1) % b, count=1)
+    one = np.zeros(1, dtype=np.intp)
+    u = _slot0_operator([OperatorMatrix.identity(d, mode)], one, one, b, window, mode)
     space = SpaceDescriptor(
         b * d, None, f"l^1 cyclic window of {b} blocks of dim {d}")
     return DilationTriple(space, FirstBlockMap("embed", b, d, mode),
@@ -901,25 +862,21 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
             raise ValueError("J and Q first-block maps do not match")
         if middle.count != 1 or middle.copies != j.blocks:
             raise ValueError("block partition mismatch")
-        if q.reads is None:
-            # block row 0 holds one sub-block; it is the (0, 0) block only
-            # when it sits in block column 0
-            if middle.perm[0] != 0:
-                return OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
-            return _block_matrix(middle.stack[0], middle.mode, middle.denominator)
-        # J feeds block column 0; Q reads every block row whose sub-block sits there
-        got = OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
-        for i in np.flatnonzero(middle.perm == 0).tolist():
-            got = got + q.reads[i] @ _block_matrix(middle.stack[i], middle.mode,
-                                                   middle.denominator)
-        return got
+        # J feeds block column 0, and only block row -shift holds its
+        # sub-block, stack[0], there; Q reads that row through reads[row],
+        # or without reads reads row 0 alone
+        row = -middle.shift % middle.copies
+        if q.reads is None and row:
+            return OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
+        sub = _block_matrix(middle.stack[0], middle.mode, middle.denominator)
+        return sub if q.reads is None else q.reads[row] @ sub
     if (not isinstance(q, ScaledBlockMap) or q.class_bases != j.class_bases
             or (q.classes is not j.classes and not np.array_equal(q.classes, j.classes))):
         raise ValueError("J and Q block scalings do not match")
     if j.exponent + q.exponent != 1:
         raise ValueError("J and Q exponents must sum to 1")
-    if middle.tau is None or middle.count != j.block_count or middle.copies != j.copies:
-        raise ValueError("block partition mismatch: scaled J and Q need a slot-0 U")
+    if middle.count != j.block_count or middle.copies != j.copies:
+        raise ValueError("block partition mismatch")
     stack = middle.stack
     if triple.mode == EXACT:
         # the exponents cancel, so block a contributes base(a) times the sum
@@ -943,6 +900,37 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
     return OperatorMatrix(np.einsum("b,bij->ij", coeffs, sums))
 
 
+def check_word_set(label_count: int, max_len: int, word_cap: int):
+    """Refuse, before anything is built, a word set over WORD_LABEL_CAP labels in all.
+
+    The count is the one :func:`_word_set` would hold for `label_count`
+    labels, `max_len` and `word_cap`, worked out without making a word.  A
+    negative max_len, a word_cap below 1 or no labels are left to
+    verify_dilation to refuse.
+    """
+    if max_len < 0 or word_cap < 1 or label_count < 1:
+        return
+    # as _word_set runs, until the count is known to be over the cap: each
+    # length adds at least n labels, so that takes at most ~sqrt(2 * cap) lengths
+    total = words = n = 0
+    while n <= max_len and total <= WORD_LABEL_CAP:
+        count = label_count ** n
+        if words + count > word_cap:
+            # lengths n..max_len share the rest of the budget: `share` words
+            # each, and one more for the first `extra` of them
+            k = max_len - n + 1
+            share, extra = divmod(word_cap - words, k)
+            total += share * (k * n + k * (k - 1) // 2) + extra * n + extra * (extra - 1) // 2
+            break
+        words += count
+        total += n * count
+        n += 1
+    if total > WORD_LABEL_CAP:
+        raise ValueError(
+            f"word set too large: up to {word_cap} words of length at most {max_len} over "
+            f"{label_count} labels hold over {WORD_LABEL_CAP} labels in all")
+
+
 def _word_set(labels: Sequence[str], max_len: int, cap: int,
               rng: random.Random) -> list[tuple[str, ...]]:
     """All words up to max_len, falling back to seeded sampling past the cap.
@@ -959,12 +947,12 @@ def _word_set(labels: Sequence[str], max_len: int, cap: int,
             words.extend(itertools.product(labels, repeat=n))
             continue
         budget = cap - len(words)
-        lengths = list(range(n, max_len + 1))
-        share, extra = divmod(budget, len(lengths))
-        for idx, ln in enumerate(lengths):
-            take = share + (1 if idx < extra else 0)
-            for _ in range(take):
-                words.append(tuple(rng.choice(labels) for _ in range(ln)))
+        share, extra = divmod(budget, max_len - n + 1)
+        # with share 0 only the first `extra` lengths get a word, so at most
+        # `budget` lengths are visited, however large max_len is
+        for idx in range(min(max_len - n + 1, budget)):
+            for _ in range(share + (idx < extra)):
+                words.append(tuple(rng.choice(labels) for _ in range(n + idx)))
         break
     return words
 
@@ -1001,9 +989,9 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
     within `tolerance` of it in float mode.  The distinct words are visited
     in sorted order, so each word comes right after its prefixes, and each
     step extends a prefix by one label with one product.  A stack holds
-    (prefix, U product, target product) along the current word; a prefix
-    that only one label ever extends is replaced by its extension, since no
-    later word can branch off it.  Exact target products stay integer
+    (prefix length, U product, target product) along the current word, and
+    keeps a prefix only at a length where a later word leaves the current
+    one; the others are replaced by their extensions.  Exact target products stay integer
     numerators over one denominator; a Fraction target is built only for
     the residual of a failing word.  The checks come back in the order of
     `words`, repeats included.
@@ -1016,23 +1004,29 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
     else:
         product, identity = operator.matmul, OperatorMatrix.identity(dim, triple.mode)
     distinct = sorted(set(words))
-    branches: dict[tuple[str, ...], set[str]] = {}
-    for word in distinct:
-        for i, lbl in enumerate(word):
-            branches.setdefault(word[:i], set()).add(lbl)
+    # leaves[j]: the lengths at which a later word leaves distinct[j], the
+    # running minima of the common prefix lengths of neighbours from j on;
+    # none exceeds len(distinct[j]), so all of them are no more than the labels
+    leaves, running = [frozenset()] * len(distinct), []
+    for j in range(len(distinct) - 2, -1, -1):
+        a, b = distinct[j], distinct[j + 1]
+        common = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        while running and running[-1] >= common:
+            running.pop()
+        running.append(common)
+        leaves[j] = frozenset(running)
     decided: dict[tuple[str, ...], WordCheck] = {}
     stack: list = []
-    for word in distinct:
-        while stack and word[:len(stack[-1][0])] != stack[-1][0]:
-            stack.pop()
-        for i in range(len(stack[-1][0]) if stack else 0, len(word)):
+    for word, keep in zip(distinct, leaves):
+        # the stack holds prefixes of word, the longest its common prefix with the last word
+        for i in range(stack[-1][0] if stack else 0, len(word)):
             u, t = triple.U_family[word[i]], targets[word[i]]
             if stack:
-                prefix, pu, pt = stack[-1]
+                length, pu, pt = stack[-1]
                 u, t = pu @ u, product(pt, t)
-                if len(branches[prefix]) == 1:
+                if length not in keep:
                     stack.pop()
-            stack.append((word[:i + 1], u, t))
+            stack.append((i + 1, u, t))
         if word:
             _, middle, want = stack[-1]
         else:
@@ -1046,6 +1040,8 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
             residual = operator_residual(got, want)
             passed = residual <= tolerance
         decided[word] = WordCheck(word, residual, passed, len(word) <= triple.n_guarantee)
+        while stack and stack[-1][0] not in keep:
+            stack.pop()
     return [decided[word] for word in words]
 
 
@@ -1092,6 +1088,7 @@ def verify_dilation(triple: DilationTriple, targets: Mapping[str, OperatorMatrix
         if not t.is_square or t.rows != target_dim:
             raise ValueError("targets must be square and equally sized")
     if words is None:
+        check_word_set(len(labels), max_len, word_cap)
         words = _word_set(labels, max_len, word_cap, random.Random(seed))
     else:
         words = [tuple(w) for w in words]

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .builders import (WORD_CAP, ConvexCombination, build_n_dilation,
-                       build_simultaneous_n_dilation, check_word,
+                       build_simultaneous_n_dilation, check_word, check_word_set,
                        rationalize_family, shift_dilation, verify_dilation,
                        zero_augment, zero_augment_targets)
 from .cyclic import (check_orbit_identity, double_coset_count, lhs_word_sum,
@@ -83,7 +83,7 @@ def _parse_matrix(obj) -> tuple[OperatorMatrix, bool]:
     if missing:
         raise PayloadError(f"matrix payload missing {sorted(missing)}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if any(not isinstance(n, int) or isinstance(n, bool) for n in (rows, cols)):
         raise PayloadError("rows and cols must be integers")
     if not isinstance(data, list) or len(data) != rows:
         raise PayloadError("data must hold exactly `rows` rows")
@@ -131,6 +131,11 @@ def _parse_combination(obj, flag_p) -> tuple[ConvexCombination, PNorm, list[str]
         raise PayloadError("combination payload must be an object")
     if "isometries" not in obj or "weights" not in obj:
         raise PayloadError("combination payload needs 'isometries' and 'weights'")
+    labels = obj.get("labels")
+    if (not isinstance(obj["isometries"], list) or not isinstance(obj["weights"], list)
+            or not isinstance(labels, (list, type(None)))):
+        raise PayloadError("combination payload's 'isometries', 'weights' and 'labels' "
+                           "must be lists")
     warnings: list[str] = []
     p = _resolve_p(obj.get("p"), flag_p)
     mats, any_float, any_mixed = [], False, False
@@ -144,7 +149,6 @@ def _parse_combination(obj, flag_p) -> tuple[ConvexCombination, PNorm, list[str]
             warnings.append("payload mixes exact and float entries; forcing float mode")
         mats = [m.to_float() for m in mats]
     weights = [_parse_weight(w) for w in obj["weights"]]
-    labels = obj.get("labels")
     if labels is not None:
         labels = tuple(str(x) for x in labels)
     try:
@@ -284,6 +288,8 @@ def _cmd_verify(args) -> int:
               "tolerance": args.tolerance, "seed": args.seed,
               "word_cap": args.word_cap}
     input_hash = _hash_inputs("verify", payload, params)
+    if args.all_up_to is not None:
+        check_word_set(1, args.all_up_to, args.word_cap)
     triple = build_n_dilation(combo, args.N, p, label=args.label)
     targets = {args.label: combo.operator()}
     if args.word:
@@ -311,6 +317,8 @@ def _cmd_simultaneous(args) -> int:
     warnings: list[str] = []
     family = {}
     for name in payload["members"]:
+        if not isinstance(payload["members"][name], dict):
+            raise PayloadError(f"member {name!r} must be a combination object")
         member = dict(payload["members"][name])
         member.setdefault("p", str(p.p))
         combo, _, w = _parse_combination(member, str(p.p))
@@ -319,6 +327,7 @@ def _cmd_simultaneous(args) -> int:
     params = {"N": args.N, "p": str(p), "m_cap": args.m_cap,
               "tolerance": args.tolerance, "seed": args.seed}
     input_hash = _hash_inputs("simultaneous", payload, params)
+    check_word_set(len(family), args.N, args.word_cap)
     rationalized = rationalize_family(family, m_cap=args.m_cap)
     triple = build_simultaneous_n_dilation(rationalized, args.N, p)
     targets = {name: combo.operator() for name, combo in family.items()}
@@ -341,6 +350,7 @@ def _cmd_zero_augment(args) -> int:
     params = {"N": args.N, "p": str(p), "tolerance": args.tolerance,
               "seed": args.seed}
     input_hash = _hash_inputs("zero-augment", payload, params)
+    check_word_set(len(members) + ("0" not in members), args.N, args.word_cap)
     triple = zero_augment(members, args.N, p)
     targets = zero_augment_targets(members)
     vr = _verify(triple, targets, args, args.N)
@@ -361,6 +371,7 @@ def _cmd_shift(args) -> int:
     params = {"window": args.window, "tolerance": args.tolerance,
               "seed": args.seed}
     input_hash = _hash_inputs("shift", payload, params)
+    check_word_set(1, args.window, args.word_cap)
     triple = shift_dilation(mat, args.window)
     vr = _verify(triple, {"T": mat}, args, args.window)
     results = _word_results(vr.checks)
@@ -416,6 +427,8 @@ def _load_generators(spec_text: str, d: int):
         raise PayloadError("generator payload must be a list or {'generators': [...]}")
     if not isinstance(entries, list):
         raise PayloadError("'generators' must be a list of matrices")
+    if names is not None and not isinstance(names, list):
+        raise PayloadError("'names' must be a list of generator names")
     if len(entries) > GENERATOR_CAP:
         raise PayloadError(f"generator count {len(entries)} exceeds cap {GENERATOR_CAP}")
     mats = []

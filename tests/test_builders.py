@@ -537,6 +537,58 @@ def test_size_cap_before_enumeration(monkeypatch):
         build_simultaneous_n_dilation(fam, 22, P3)
 
 
+def test_word_set_cap_before_enumeration(monkeypatch):
+    def never(*args):
+        raise AssertionError("words enumerated past the word-set cap")
+
+    monkeypatch.setattr(builders, "_word_set", never)
+    combo = _combo((F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 2, P3)
+    for max_len in (10 ** 9, 10 ** 5):
+        with pytest.raises(ValueError, match="word set too large"):
+            verify_dilation(triple, {"T": combo.operator()}, max_len)
+
+
+def test_word_set_visits_only_the_lengths_it_samples():
+    # a small word cap keeps the word set under the label cap however large
+    # max_len is; the lengths that get no word must not be listed either
+    combo = _combo((F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 2, P3)
+    report, peak = _traced_peak(
+        lambda: verify_dilation(triple, {"T": combo.operator()}, 10 ** 6, word_cap=100))
+    assert [len(c.word) for c in report.checks] == list(range(100))
+    assert peak < 4 * 2 ** 20
+
+
+def test_word_set_cap_counts_the_labels_of_the_word_set(monkeypatch):
+    # the check refuses exactly the word sets whose words hold more labels
+    # than the cap, counted here by building each word set
+    for r, max_len, cap in itertools.product((1, 2, 3), range(9), (1, 2, 7, 30, 500)):
+        labels = [str(i) for i in range(r)]
+        held = sum(map(len, builders._word_set(labels, max_len, cap, random.Random(0))))
+        for limit in (held - 1, held):
+            monkeypatch.setattr(builders, "WORD_LABEL_CAP", limit)
+            if held > limit:
+                with pytest.raises(ValueError, match="word set too large"):
+                    builders.check_word_set(r, max_len, cap)
+            else:
+                builders.check_word_set(r, max_len, cap)
+
+
+def test_walk_keeps_no_prefix_per_word():
+    # 200 sampled words of lengths 200..400 over two labels share almost no
+    # prefixes; keying every prefix of every word would hold ~10^7 labels
+    # (tens of MiB), while the words themselves hold ~6 * 10^4
+    triple = zero_augment({"A": SWAP}, 400, P3)
+    rng = random.Random(5)
+    words = [tuple(rng.choice("A0") for _ in range(rng.randint(200, 400)))
+             for _ in range(200)]
+    targets = zero_augment_targets({"A": SWAP})
+    report, peak = _traced_peak(lambda: verify_dilation(triple, targets, words=words))
+    assert report.passed and len(report.checks) == 200
+    assert peak < 8 * 2 ** 20
+
+
 def test_size_cap_counts_the_real_stack():
     # m = 2, N = 21, d = 2: 2^21 slot-0 sub-blocks of 2 x 2 are 64 MiB, the
     # cap itself; with all 21 sub-blocks of a block stored they were 1.3 GiB
@@ -553,19 +605,35 @@ def test_size_cap_counts_the_real_stack():
 # ---------------------------------------------------------------------------
 # block-monomial operators
 
+def _layout_operator(blocks, tau, copies, shift):
+    """The operator with stack[a] = blocks[a], laid out by (tau, copies, shift)."""
+    return builders._slot0_operator(blocks, np.arange(len(blocks)), np.asarray(tau, np.intp),
+                                    copies, shift, blocks[0].mode)
+
+
 @st.composite
 def _monomial_triple(draw, exact: bool):
-    """Three operators on one random layout, with random perms and sub-blocks.
+    """Three operators on one random layout, with random shifts and sub-blocks.
 
-    Exact entries are fractions whose numerators may reach 2^40, so that
-    products can leave int64; float entries are quarters of small integers,
-    whose products and sums are exact in any order.
+    tau is a random permutation of the outer blocks whose cycle lengths
+    divide `copies`, so tau^copies = 1.  Exact entries are fractions whose
+    numerators may reach 2^40, so that products can leave int64; float
+    entries are quarters of small integers, whose products and sums are
+    exact in any order.
     """
-    count = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
     copies = draw(st.integers(1, 4))
     s = draw(st.integers(1, 3))
-    n = count * copies
     big = draw(st.booleans())
+    order = draw(st.permutations(range(count)))
+    tau, i = [None] * count, 0
+    while i < count:
+        length = draw(st.sampled_from([n for n in range(1, min(copies, count - i) + 1)
+                                       if copies % n == 0]))
+        cycle = order[i:i + length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            tau[a] = b
+        i += length
 
     def entry():
         if exact:
@@ -575,9 +643,8 @@ def _monomial_triple(draw, exact: bool):
 
     def operator():
         blocks = [OperatorMatrix([[entry() for _ in range(s)] for _ in range(s)],
-                                 EXACT if exact else FLOAT64) for _ in range(n)]
-        perm = [i - i % copies + draw(st.integers(0, copies - 1)) for i in range(n)]
-        return BlockDiagonalOperator.from_blocks(blocks, perm, count)
+                                 EXACT if exact else FLOAT64) for _ in range(count)]
+        return _layout_operator(blocks, tau, copies, draw(st.integers(0, copies - 1)))
 
     return operator(), operator(), operator()
 
@@ -596,7 +663,9 @@ def test_block_monomial_product_matches_dense(ops):
 
 def test_block_monomial_promotes_past_int64():
     big = OperatorMatrix([[2 ** 40, 1], [0, -(2 ** 40)]])
-    op = BlockDiagonalOperator.from_blocks([big, I2, SWAP, big], [1, 0, 3, 3], count=2)
+    # two outer blocks of two block rows, swapped by tau; each row multiplies
+    # big by big, one block column to the right
+    op = _layout_operator([big, big], [1, 0], 2, 1)
     assert op.stack.dtype == np.int64
     sq = op @ op
     assert sq.stack.dtype == object
@@ -605,13 +674,12 @@ def test_block_monomial_promotes_past_int64():
 
 
 def test_block_monomial_layout_checks():
-    with pytest.raises(ValueError):
-        BlockDiagonalOperator.from_blocks([I2, I2, I2], count=2)
-    with pytest.raises(ValueError):     # sub-block 1 would leave its outer block
-        BlockDiagonalOperator.from_blocks([I2, I2, I2, I2], [0, 2, 2, 3], count=2)
-    a = BlockDiagonalOperator.from_blocks([I2, SWAP], [1, 0], count=1)
-    with pytest.raises(ValueError):
-        a @ BlockDiagonalOperator.from_blocks([I2, SWAP])
+    a = _layout_operator([I2, SWAP], [1, 0], 2, 1)
+    for other in (BlockDiagonalOperator.from_blocks([I2, SWAP]),    # copies differ
+                  _layout_operator([I2, SWAP], [0, 1], 2, 1),       # tau differs
+                  _layout_operator([I2], [0], 2, 1)):               # counts differ
+        with pytest.raises(ValueError, match="block partitions differ"):
+            a @ other
 
 
 def test_n_dilation_u_is_one_sub_block_per_row():
@@ -688,8 +756,31 @@ def test_verify_rejects_empty_word_list():
 # ---------------------------------------------------------------------------
 # slot-0 kernel against the full stack
 
+class _FullStack:
+    """A block-monomial operator that stores every block row's sub-block.
+
+    Sub-block i sits in block row i and block column perm[i], both counted
+    over all outer blocks.  Row i of A @ B is A.stack[i] @ B.stack[A.perm[i]]
+    with perm B.perm[A.perm].  Exact stacks hold Python int numerators over
+    `denominator`, so nothing can overflow.
+    """
+
+    def __init__(self, stack, perm, count, copies, denominator):
+        self.stack, self.perm, self.count, self.copies = stack, perm, count, copies
+        self.denominator = denominator
+
+    def __matmul__(self, other):
+        return _FullStack(np.matmul(self.stack, other.stack[self.perm]), other.perm[self.perm],
+                          self.count, self.copies, self.denominator * other.denominator)
+
+    def identity_like(self):
+        n, d = self.stack.shape[:2]
+        eye = np.eye(d, dtype=self.stack.dtype)
+        return _FullStack(np.array([eye] * n), np.arange(n), self.count, self.copies, 1)
+
+
 def _full_stack(u):
-    """The plain block-monomial operator of u, one stored sub-block per block row.
+    """The full stack of u, one stored sub-block per block row.
 
     Built from the dense blocks alone: each block row's one nonzero sub-block
     and its column, found by looking, not from u's slot-0 layout.
@@ -702,11 +793,16 @@ def _full_stack(u):
             row = dense[k * d:(k + 1) * d]
             cols = [c for c in range(copies) if np.any(row[:, c * d:(c + 1) * d] != 0)]
             assert len(cols) == 1
-            sub = row[:, cols[0] * d:(cols[0] + 1) * d].tolist()
-            subs.append(OperatorMatrix(np.array(sub, dtype=float)) if u.mode == FLOAT64
-                        else OperatorMatrix(sub))
+            subs.append(row[:, cols[0] * d:(cols[0] + 1) * d])
             perm.append(a * copies + cols[0])
-    return BlockDiagonalOperator.from_blocks(subs, perm, u.count)
+    perm = np.array(perm)
+    if u.mode == FLOAT64:
+        return _FullStack(np.array(subs, dtype=float), perm, u.count, copies, 1)
+    den = math.lcm(*(F(x).denominator for sub in subs for x in sub.flat))
+    nums = [[[F(x).numerator * (den // F(x).denominator) for x in row] for row in sub]
+            for sub in subs]
+    return _FullStack(np.array(nums, dtype=object).reshape(len(subs), d, d), perm,
+                      u.count, copies, den)
 
 
 def _full_stack_compression(triple, full, word):

@@ -410,6 +410,59 @@ def test_non_finite_entries_are_input_errors(argv, value, tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("build", {**_combo_payload(), "isometries": 5}),
+    ("verify", {**_combo_payload(), "weights": 1}),
+    ("build", {**_combo_payload(), "labels": 5}),
+    ("simultaneous", {"p": "3", "members": {"A": 5}}),
+    ("simultaneous", {"p": "3", "members": {"A": [1, 2]}}),
+    ("hull-check", {"generators": [_mat([[1, 0], [0, 1]])], "names": 5}),
+    ("shift", {"rows": True, "cols": 1, "data": [["1/2"]]}),
+    ("zero-augment", {"p": "3", "members": {"A": {"rows": 1, "cols": True, "data": [[1]]}}}),
+], ids=["isometries", "weights", "labels", "member-number", "member-list", "names",
+        "rows-bool", "cols-bool"])
+def test_malformed_payload_shapes_are_input_errors(command, payload, tmp_path, capsys):
+    path = _write(tmp_path, "payload.json", payload)
+    argv = {
+        "build": ["build", "--combo", path, "--N", "2"],
+        "verify": ["verify", "--combo", path, "--N", "2", "--all-up-to", "2"],
+        "simultaneous": ["simultaneous", "--family", path, "--N", "2"],
+        "zero-augment": ["zero-augment", "--family", path, "--N", "2"],
+        "hull-check": ["hull-check", "--generators", path, "--matrix",
+                       _write(tmp_path, "matrix.json", _mat([[1, 0], [0, 1]]))],
+        "shift": ["shift", "--matrix", path, "--window", "2"],
+    }[command]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--combo", "{combo}", "--N", "2", "--all-up-to", "1000000000"],
+    ["verify", "--combo", "{combo}", "--N", "2", "--all-up-to", "100000"],
+    ["zero-augment", "--family", "{augment}", "--N", "100000"],
+    ["simultaneous", "--family", "{family}", "--N", "100000"],
+    ["shift", "--matrix", "{matrix}", "--window", "100000"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_oversized_word_set_is_refused_before_building(argv, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built or enumerated past the word-set cap")
+
+    for name in ("build_n_dilation", "build_simultaneous_n_dilation", "zero_augment",
+                 "shift_dilation"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(builders, "_word_set", never)
+    files = {"combo": _write(tmp_path, "c.json", _combo_payload()),
+             "augment": _write(tmp_path, "a.json", _augment_payload()),
+             "family": _write(tmp_path, "f.json", _family_payload()),
+             "matrix": _write(tmp_path, "m.json", _mat([["1/2"]]))}
+    code = run([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: word set too large")
+
+
 @pytest.mark.parametrize("max_denominator", ["0", "-3"])
 @pytest.mark.parametrize("argv", [
     ["hull-check", "--generators", "perms"],
