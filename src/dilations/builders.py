@@ -38,6 +38,7 @@ INFINITE_GUARANTEE = math.inf
 WORD_CAP = 10_000
 WORD_LABEL_CAP = 100 * WORD_CAP   # labels in all of a word set's words: WORD_CAP of length 100
 STACK_BYTES_CAP = 64 * 2 ** 20    # a builder's U stacks, at 8 bytes per entry
+SLOT_CAP = STACK_BYTES_CAP // 8   # N: the builders make N-long int64 index arrays
 
 _L1_CONTRACTION_TOL = 1e-12
 
@@ -517,7 +518,8 @@ def _rows_under_cap(d: int, stacks: int = 1) -> int:
 def _check_size(m: int, N: int, d: int, stacks: int = 1):
     """Refuse, before anything is enumerated, U stacks over STACK_BYTES_CAP."""
     rows = _rows_under_cap(d, stacks)
-    if m ** N > rows:
+    # past the cap's bit length m >= 2 is over it, so no huge power is formed
+    if m ** min(N, rows.bit_length() + 1) > rows:
         raise ValueError(
             f"dilation too large: {stacks} x {m}^{N} blocks of one sub-block of size {d} "
             f"are over the cap of {STACK_BYTES_CAP} bytes, which holds {rows} blocks")
@@ -560,6 +562,9 @@ def _scaled_maps(bases, classes, N: int, d: int, p: PNorm, mode: str):
 def _validated_combo(combo: ConvexCombination, N: int, p: PNorm) -> ConvexCombination:
     if N < 1:
         raise ValueError("N must be at least 1")
+    if N > SLOT_CAP:
+        raise ValueError(f"dilation too large: N={N} slots are over the cap of {SLOT_CAP}, "
+                         f"one 8-byte index a slot in {STACK_BYTES_CAP} bytes")
     names = combo.labels or tuple(f"term {i}" for i in range(combo.m))
     _require_isometries(zip(names, combo.isometries), p)
     return combo
@@ -668,8 +673,9 @@ def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
             raise ValueError("family members must share dimension and mode")
         if any(w != Fraction(1, m) for w in combo.weights):
             raise ValueError(f"member {name!r} is not in equal-weight form")
-        _validated_combo(combo, N, p)
     _check_size(m, N, d, stacks=len(members))
+    for _, combo in members:
+        _validated_combo(combo, N, p)
     rows = np.arange(m ** N)
     first, tau = rows // m ** (N - 1), _turn(m, N, rows)
     u_family = {name: _slot0_operator(combo.isometries, first, tau, N, 1 % N, mode)
@@ -711,12 +717,18 @@ def _expand_to_denominator(combo: ConvexCombination, lcd: int) -> ConvexCombinat
                              tuple(labels) if combo.labels is not None else None)
 
 
-def rationalize_family(family: Mapping[str, ConvexCombination],
-                       m_cap: int = 64) -> dict[str, ConvexCombination]:
-    """Rationalize every member to one common equal-weight count."""
+def rationalize_family(family: Mapping[str, ConvexCombination], m_cap: int = 64,
+                       N: int | None = None) -> dict[str, ConvexCombination]:
+    """Rationalize every member to one common equal-weight count.
+
+    Given N, first refuse the family's simultaneous N-dilation over that
+    count if it is over the size cap, before any term is copied.
+    """
     if not family:
         raise ValueError("empty family")
     lcd = _common_denominator([w for combo in family.values() for w in combo.weights], m_cap)
+    if N is not None:
+        _check_size(lcd, N, next(iter(family.values())).dim, stacks=len(family))
     return {name: _expand_to_denominator(combo, lcd) for name, combo in family.items()}
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .builders import (WORD_CAP, ConvexCombination, build_n_dilation,
@@ -107,6 +108,26 @@ def _parse_matrix(obj) -> tuple[OperatorMatrix, bool]:
     return OperatorMatrix(parsed), False
 
 
+def _parse_matrices(entries) -> tuple[list[OperatorMatrix], list[str]]:
+    """Matrices of one mode: a float entry anywhere forces them all to float."""
+    parsed = [_parse_matrix(entry) for entry in entries]
+    mats = [mat for mat, _ in parsed]
+    if all(mat.mode == EXACT for mat in mats):
+        return mats, []
+    warnings = []
+    if any(mixed for _, mixed in parsed) or any(mat.mode == EXACT for mat in mats):
+        warnings.append("payload mixes exact and float entries; forcing float mode")
+    return [mat.to_float() for mat in mats], warnings
+
+
+def _load_matrix(path: str) -> tuple[object, OperatorMatrix, list[str]]:
+    """The payload at `path`, its one matrix, and the mixed-entries warning if due."""
+    payload = _load_json(path)
+    mat, mixed = _parse_matrix(payload)
+    return payload, mat, (["matrix mixes exact and float entries; forcing float mode"]
+                          if mixed else [])
+
+
 def _parse_weight(x) -> Fraction:
     kind, val = _parse_scalar(x)
     if kind != EXACT:
@@ -136,18 +157,8 @@ def _parse_combination(obj, flag_p) -> tuple[ConvexCombination, PNorm, list[str]
             or not isinstance(labels, (list, type(None)))):
         raise PayloadError("combination payload's 'isometries', 'weights' and 'labels' "
                            "must be lists")
-    warnings: list[str] = []
     p = _resolve_p(obj.get("p"), flag_p)
-    mats, any_float, any_mixed = [], False, False
-    for entry in obj["isometries"]:
-        mat, mixed = _parse_matrix(entry)
-        any_mixed = any_mixed or mixed
-        any_float = any_float or mat.mode == FLOAT64
-        mats.append(mat)
-    if any_float:
-        if any_mixed or any(m.mode == EXACT for m in mats):
-            warnings.append("payload mixes exact and float entries; forcing float mode")
-        mats = [m.to_float() for m in mats]
+    mats, warnings = _parse_matrices(obj["isometries"])
     weights = [_parse_weight(w) for w in obj["weights"]]
     if labels is not None:
         labels = tuple(str(x) for x in labels)
@@ -158,34 +169,17 @@ def _parse_combination(obj, flag_p) -> tuple[ConvexCombination, PNorm, list[str]
     return combo, p, warnings
 
 
-def _parse_member_matrices(obj) -> tuple[dict[str, OperatorMatrix], PNorm, list[str]]:
-    if not isinstance(obj, dict) or "members" not in obj:
+def _members(payload, kind: str) -> dict:
+    """The 'members' object of a family payload, mapping names to `kind`."""
+    if not isinstance(payload, dict) or "members" not in payload:
         raise PayloadError("family payload needs a 'members' object")
-    if not isinstance(obj["members"], dict):
-        raise PayloadError("'members' must map names to matrices")
-    warnings: list[str] = []
-    out: dict[str, OperatorMatrix] = {}
-    saw_float = saw_mixed = False
-    for name in obj["members"]:
-        mat, mixed = _parse_matrix(obj["members"][name])
-        saw_mixed = saw_mixed or mixed
-        saw_float = saw_float or mat.mode == FLOAT64
-        out[name] = mat
-    if saw_float:
-        if saw_mixed or any(v.mode == EXACT for v in out.values()):
-            warnings.append("payload mixes exact and float entries; forcing float mode")
-        out = {k: v.to_float() for k, v in out.items()}
-    return out, obj, warnings
+    if not isinstance(payload["members"], dict):
+        raise PayloadError(f"'members' must map names to {kind}")
+    return payload["members"]
 
 
 # ---------------------------------------------------------------------------
 # report plumbing
-
-
-def _hash_inputs(command: str, payload, params: dict) -> str:
-    doc = {"command": command, "payload": payload, "params": params}
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _fmt_exact(x) -> str:
@@ -208,37 +202,49 @@ def _check(name: str, residual: float, passed: bool, word=None, **extra):
     return entry
 
 
-def _word_results(checks) -> list[dict]:
-    return [
-        _check("word", c.residual, c.passed, word=c.word, in_contract=c.in_contract)
-        for c in checks
-    ]
+def _flag(name: str, passed: bool):
+    """A yes/no check: residual 0.0 when it holds, 1.0 when it does not."""
+    return _check(name, 0.0 if passed else 1.0, passed)
 
 
-def _assemble(command, input_hash, mode, results, provenance, warnings):
+def _emit(args, payload, params: dict, mode: str, results: list, provenance: dict,
+          warnings) -> int:
+    """Hash the inputs, then write the report to --out or stdout; the exit code."""
+    canon = json.dumps({"command": args.command, "payload": payload, "params": params},
+                       sort_keys=True, separators=(",", ":"))
     in_contract = [r for r in results if r.get("in_contract", True)]
-    max_residual = max((r["residual"] for r in in_contract), default=0.0)
     passed = all(r["pass"] for r in in_contract)
     doc = {
-        "command": command,
-        "inputs": {"hash": input_hash, "mode": mode},
+        "command": args.command,
+        "inputs": {"hash": "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest(),
+                   "mode": mode},
         "results": results,
-        "summary": {"max_residual": max_residual, "pass": passed},
+        "summary": {"max_residual": max((r["residual"] for r in in_contract), default=0.0),
+                    "pass": passed},
         "provenance": provenance,
     }
     if warnings:
         doc["warnings"] = sorted(set(warnings))
-    return doc
-
-
-def _emit(doc, out_path) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if doc["summary"]["pass"] else 1
+    return 0 if passed else 1
+
+
+def _verify_report(args, payload, params: dict, triple, targets, warnings,
+                   n_guarantee: int, max_len=None, words=None, **provenance) -> int:
+    """Emit one word check per verify_dilation word, under the command's
+    tolerance, seed and word cap; `provenance` adds to the shared keys."""
+    vr = verify_dilation(triple, targets, max_len, tolerance=args.tolerance,
+                         seed=args.seed, word_cap=args.word_cap, words=words)
+    results = [_check("word", c.residual, c.passed, word=c.word, in_contract=c.in_contract)
+               for c in vr.checks]
+    provenance.update(space_dim=triple.space.dim, n_guarantee=n_guarantee)
+    provenance.setdefault("caps", {})["word_cap"] = args.word_cap
+    return _emit(args, payload, params, triple.mode, results, provenance, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,6 @@ def _cmd_build(args) -> int:
     payload = _load_json(args.combo)
     combo, p, warnings = _parse_combination(payload, args.p)
     params = {"N": args.N, "p": str(p), "label": args.label}
-    input_hash = _hash_inputs("build", payload, params)
     triple = build_n_dilation(combo, args.N, p, label=args.label)
     composed = check_word(triple, {args.label: combo.operator()}, (), args.tolerance)
     results = [_check("compose-identity", composed.residual, composed.passed, word=[])]
@@ -260,8 +265,7 @@ def _cmd_build(args) -> int:
         "caps": {"word_cap": WORD_CAP},
         "structure": triple.space.structure,
     }
-    return _emit(_assemble("build", input_hash, triple.mode, results,
-                           provenance, warnings), args.out)
+    return _emit(args, payload, params, triple.mode, results, provenance, warnings)
 
 
 def _parse_word(text: str, triple) -> tuple[str, ...]:
@@ -272,130 +276,73 @@ def _parse_word(text: str, triple) -> tuple[str, ...]:
     return word
 
 
-def _verify(triple, targets, args, max_len=None, words=None):
-    """verify_dilation with the command's tolerance, seed and word cap."""
-    return verify_dilation(triple, targets, max_len, tolerance=args.tolerance,
-                           seed=args.seed, word_cap=args.word_cap, words=words)
-
-
 def _cmd_verify(args) -> int:
     payload = _load_json(args.combo)
     combo, p, warnings = _parse_combination(payload, args.p)
     if (args.all_up_to is None) == (not args.word):
         raise PayloadError("give exactly one of --all-up-to n and --word (repeatable)")
-    params = {"N": args.N, "p": str(p), "label": args.label,
-              "all_up_to": args.all_up_to, "words": args.word,
-              "tolerance": args.tolerance, "seed": args.seed,
+    params = {"N": args.N, "p": str(p), "label": args.label, "all_up_to": args.all_up_to,
+              "words": args.word, "tolerance": args.tolerance, "seed": args.seed,
               "word_cap": args.word_cap}
-    input_hash = _hash_inputs("verify", payload, params)
     if args.all_up_to is not None:
         check_word_set(1, args.all_up_to, args.word_cap)
     triple = build_n_dilation(combo, args.N, p, label=args.label)
-    targets = {args.label: combo.operator()}
-    if args.word:
-        vr = _verify(triple, targets, args,
-                     words=[_parse_word(text, triple) for text in args.word])
-    else:
-        vr = _verify(triple, targets, args, args.all_up_to)
-    results = _word_results(vr.checks)
-    provenance = {
-        "space_dim": triple.space.dim,
-        "n_guarantee": args.N,
-        "caps": {"word_cap": args.word_cap},
-    }
-    return _emit(_assemble("verify", input_hash, triple.mode, results,
-                           provenance, warnings), args.out)
+    words = [_parse_word(text, triple) for text in args.word] if args.word else None
+    return _verify_report(args, payload, params, triple, {args.label: combo.operator()},
+                          warnings, args.N, args.all_up_to, words)
 
 
 def _cmd_simultaneous(args) -> int:
     payload = _load_json(args.family)
-    if not isinstance(payload, dict) or "members" not in payload:
-        raise PayloadError("family payload needs a 'members' object")
-    if not isinstance(payload["members"], dict):
-        raise PayloadError("'members' must map names to combinations")
+    members = _members(payload, "combinations")
     p = _resolve_p(payload.get("p"), args.p)
     warnings: list[str] = []
     family = {}
-    for name in payload["members"]:
-        if not isinstance(payload["members"][name], dict):
+    for name in members:
+        if not isinstance(members[name], dict):
             raise PayloadError(f"member {name!r} must be a combination object")
-        member = dict(payload["members"][name])
-        member.setdefault("p", str(p.p))
-        combo, _, w = _parse_combination(member, str(p.p))
+        combo, _, w = _parse_combination(members[name], str(p.p))
         warnings.extend(w)
         family[name] = combo
     params = {"N": args.N, "p": str(p), "m_cap": args.m_cap,
               "tolerance": args.tolerance, "seed": args.seed}
-    input_hash = _hash_inputs("simultaneous", payload, params)
     check_word_set(len(family), args.N, args.word_cap)
-    rationalized = rationalize_family(family, m_cap=args.m_cap)
+    rationalized = rationalize_family(family, m_cap=args.m_cap, N=args.N)
     triple = build_simultaneous_n_dilation(rationalized, args.N, p)
     targets = {name: combo.operator() for name, combo in family.items()}
-    vr = _verify(triple, targets, args, args.N)
-    results = _word_results(vr.checks)
-    provenance = {
-        "space_dim": triple.space.dim,
-        "n_guarantee": args.N,
-        "common_m": next(iter(rationalized.values())).m,
-        "caps": {"word_cap": args.word_cap, "m_cap": args.m_cap},
-    }
-    return _emit(_assemble("simultaneous", input_hash, triple.mode, results,
-                           provenance, warnings), args.out)
+    return _verify_report(args, payload, params, triple, targets, warnings, args.N, args.N,
+                          common_m=next(iter(rationalized.values())).m,
+                          caps={"m_cap": args.m_cap})
 
 
 def _cmd_zero_augment(args) -> int:
     payload = _load_json(args.family)
-    members, raw, warnings = _parse_member_matrices(payload)
-    p = _resolve_p(raw.get("p"), args.p)
-    params = {"N": args.N, "p": str(p), "tolerance": args.tolerance,
-              "seed": args.seed}
-    input_hash = _hash_inputs("zero-augment", payload, params)
+    entries = _members(payload, "matrices")
+    mats, warnings = _parse_matrices(entries.values())
+    members = dict(zip(entries, mats))
+    p = _resolve_p(payload.get("p"), args.p)
+    params = {"N": args.N, "p": str(p), "tolerance": args.tolerance, "seed": args.seed}
     check_word_set(len(members) + ("0" not in members), args.N, args.word_cap)
     triple = zero_augment(members, args.N, p)
-    targets = zero_augment_targets(members)
-    vr = _verify(triple, targets, args, args.N)
-    results = _word_results(vr.checks)
-    provenance = {
-        "space_dim": triple.space.dim,
-        "n_guarantee": args.N,
-        "caps": {"word_cap": args.word_cap},
-    }
-    return _emit(_assemble("zero-augment", input_hash, triple.mode, results,
-                           provenance, warnings), args.out)
+    return _verify_report(args, payload, params, triple, zero_augment_targets(members),
+                          warnings, args.N, args.N)
 
 
 def _cmd_shift(args) -> int:
-    payload = _load_json(args.matrix)
-    mat, mixed = _parse_matrix(payload)
-    warnings = ["matrix mixes exact and float entries; forcing float mode"] if mixed else []
-    params = {"window": args.window, "tolerance": args.tolerance,
-              "seed": args.seed}
-    input_hash = _hash_inputs("shift", payload, params)
+    payload, mat, warnings = _load_matrix(args.matrix)
+    params = {"window": args.window, "tolerance": args.tolerance, "seed": args.seed}
     check_word_set(1, args.window, args.word_cap)
     triple = shift_dilation(mat, args.window)
-    vr = _verify(triple, {"T": mat}, args, args.window)
-    results = _word_results(vr.checks)
-    provenance = {
-        "space_dim": triple.space.dim,
-        "n_guarantee": args.window,
-        "one_norm": float(mat.one_norm()),
-        "caps": {"word_cap": args.word_cap},
-    }
-    return _emit(_assemble("shift", input_hash, triple.mode, results,
-                           provenance, warnings), args.out)
+    return _verify_report(args, payload, params, triple, {"T": mat}, warnings,
+                          args.window, args.window, one_norm=float(mat.one_norm()))
 
 
 def _cmd_decompose(args) -> int:
-    payload = _load_json(args.matrix)
-    mat, mixed = _parse_matrix(payload)
-    warnings = ["matrix mixes exact and float entries; forcing float mode"] if mixed else []
-    params = {"max_denominator": args.max_denominator,
-              "tolerance": args.tolerance}
-    input_hash = _hash_inputs("decompose", payload, params)
+    payload, mat, warnings = _load_matrix(args.matrix)
+    params = {"max_denominator": args.max_denominator, "tolerance": args.tolerance}
     decomp = decompose_contraction(mat)
     snapped, snap_err = rationalize_decomposition(decomp, args.max_denominator)
-    recon_res = operator_residual(decomp.reconstruct(),
-                                  mat.to_float() if mat.mode == EXACT else mat)
+    recon_res = operator_residual(decomp.reconstruct(), mat.to_float())
     weight_res = abs(sum(decomp.weights) - 1.0)
     results = [
         _check("reconstruction", float(recon_res), recon_res <= args.tolerance),
@@ -408,8 +355,7 @@ def _cmd_decompose(args) -> int:
         "snapped_weights": [_fmt_exact(w) for w in snapped],
         "caps": {"max_denominator": args.max_denominator},
     }
-    return _emit(_assemble("decompose", input_hash, FLOAT64, results,
-                           provenance, warnings), args.out)
+    return _emit(args, payload, params, FLOAT64, results, provenance, warnings)
 
 
 def _load_generators(spec_text: str, d: int):
@@ -458,12 +404,9 @@ def _certificate_doc(cert):
 
 
 def _cmd_hull_check(args) -> int:
-    payload = _load_json(args.matrix)
-    mat, mixed = _parse_matrix(payload)
-    warnings = ["matrix mixes exact and float entries; forcing float mode"] if mixed else []
+    payload, mat, warnings = _load_matrix(args.matrix)
     params = {"generators": args.generators, "mode": args.mode,
               "max_denominator": args.max_denominator}
-    input_hash = _hash_inputs("hull-check", payload, params)
     snap_error = 0.0
     if mat.mode == FLOAT64:
         mat, snap_error = snap_matrix(mat, args.max_denominator)
@@ -476,10 +419,10 @@ def _cmd_hull_check(args) -> int:
             name: _fmt_exact(w) for name, w in outcome.coefficients.items() if w}
         if outcome.slack is not None:
             membership["slack"] = _fmt_exact(outcome.slack)
-        results = [_check("membership-reconstruction", 0.0, True)]
+        results = [_flag("membership-reconstruction", True)]
     else:
         membership["certificate"] = _certificate_doc(outcome.certificate)
-        results = [_check("separation-certificate", 0.0, True)]
+        results = [_flag("separation-certificate", True)]
     provenance = {
         "generator_count": len(gens),
         "snap_error": snap_error,
@@ -487,8 +430,7 @@ def _cmd_hull_check(args) -> int:
         "caps": {"generator_cap": GENERATOR_CAP,
                  "max_denominator": args.max_denominator},
     }
-    return _emit(_assemble("hull-check", input_hash, EXACT, results,
-                           provenance, warnings), args.out)
+    return _emit(args, payload, params, EXACT, results, provenance, warnings)
 
 
 def _random_weights(m: int, rng: random.Random) -> list[Fraction]:
@@ -516,13 +458,20 @@ def _check_enumeration(m: int, N: int, per_index: int):
                            "words to enumerate")
 
 
+def _partition_checks(partition, m: int, N: int) -> list[dict]:
+    """Orbit-stabilizer product and partition total of the cyclic orbits on m^N indices."""
+    return [
+        _flag("orbit-stabilizer-product",
+              all(o.size * o.stabilizer_size == N for o in partition.orbits)),
+        _flag("partition-total", partition.total == m ** N),
+    ]
+
+
 def _cmd_identity_check(args) -> int:
     if args.trials < 0:
         raise PayloadError("--trials must be nonnegative")
     _check_enumeration(args.m, args.N, (args.trials + 1) * (args.N + 1) * args.N)
-    params = {"m": args.m, "N": args.N, "trials": args.trials,
-              "seed": args.seed}
-    input_hash = _hash_inputs("identity-check", None, params)
+    params = {"m": args.m, "N": args.N, "trials": args.trials, "seed": args.seed}
     rng = random.Random(args.seed)
     trials = [[Fraction(1, args.m)] * args.m]
     trials += [_random_weights(args.m, rng) for _ in range(args.trials)]
@@ -537,46 +486,27 @@ def _cmd_identity_check(args) -> int:
                                   residual == 0.0))
     partition = orbit_partition(args.m, args.N)
     for n in range(args.N + 1):
-        ok = all(check_orbit_identity(orbit, n) for orbit in partition.orbits)
-        results.append(_check(f"orbit-identity n={n}", 0.0 if ok else 1.0, ok))
-    sizes_ok = all(o.size * o.stabilizer_size == args.N for o in partition.orbits)
-    results.append(_check("orbit-stabilizer-product",
-                          0.0 if sizes_ok else 1.0, sizes_ok))
-    total_ok = partition.total == args.m ** args.N
-    results.append(_check("partition-total", 0.0 if total_ok else 1.0, total_ok))
-    fibres = double_coset_count(args.N)
-    results.append(_check("product-fibres-uniform",
-                          0.0 if fibres.uniform else 1.0, fibres.uniform))
-    provenance = {
-        "orbit_count": len(partition.orbits),
-        "caps": {},
-        "n_guarantee": args.N,
-    }
-    return _emit(_assemble("identity-check", input_hash, EXACT, results,
-                           provenance, []), args.out)
+        results.append(_flag(f"orbit-identity n={n}", all(
+            check_orbit_identity(orbit, n) for orbit in partition.orbits)))
+    results += _partition_checks(partition, args.m, args.N)
+    results.append(_flag("product-fibres-uniform", double_coset_count(args.N).uniform))
+    provenance = {"orbit_count": len(partition.orbits), "caps": {}, "n_guarantee": args.N}
+    return _emit(args, None, params, EXACT, results, provenance, [])
 
 
 def _cmd_oracle(args) -> int:
-    payload = _load_json(args.matrix)
-    mat, mixed = _parse_matrix(payload)
-    warnings = ["matrix mixes exact and float entries; forcing float mode"] if mixed else []
-    params = {"N": args.N, "cross": bool(args.cross),
-              "tolerance": args.tolerance}
-    input_hash = _hash_inputs("oracle", payload, params)
+    payload, mat, warnings = _load_matrix(args.matrix)
+    params = {"N": args.N, "cross": bool(args.cross), "tolerance": args.tolerance}
     dil = schaffer_dilation(mat, args.N)
     ortho = dil.orthogonality_defect()
     results = [_check("orthogonality", ortho, ortho <= _ORTHOGONALITY_TOL)]
-    base = mat.to_float() if mat.mode == EXACT else mat
+    base = mat.to_float()
     power = OperatorMatrix.identity(base.rows, FLOAT64)
     for n in range(args.N + 1):
         res = operator_residual(dil.compression(n), power)
         results.append(_check(f"compression n={n}", res, res <= args.tolerance))
         power = power @ base
-    provenance = {
-        "space_dim": dil.U.rows,
-        "n_guarantee": args.N,
-        "caps": {},
-    }
+    provenance = {"space_dim": dil.U.rows, "n_guarantee": args.N, "caps": {}}
     if args.cross:
         report = cross_validate(mat, args.N)
         for n, res in enumerate(report.decomposition_residuals):
@@ -587,43 +517,72 @@ def _cmd_oracle(args) -> int:
             "reconstruction_error": report.reconstruction_error,
             "rationalization_error": report.rationalization_error,
         }
-    return _emit(_assemble("oracle", input_hash, FLOAT64, results,
-                           provenance, warnings), args.out)
+    return _emit(args, payload, params, FLOAT64, results, provenance, warnings)
 
 
 def _cmd_orbit(args) -> int:
     _check_enumeration(args.m, args.N, args.N)
-    params = {"m": args.m, "N": args.N}
-    input_hash = _hash_inputs("orbit", None, params)
     partition = orbit_partition(args.m, args.N)
-    divides = all(args.N % o.size == 0 for o in partition.orbits)
-    product = all(o.size * o.stabilizer_size == args.N for o in partition.orbits)
-    total = partition.total == args.m ** args.N
-    results = [
-        _check("orbit-sizes-divide", 0.0 if divides else 1.0, divides),
-        _check("orbit-stabilizer-product", 0.0 if product else 1.0, product),
-        _check("partition-total", 0.0 if total else 1.0, total),
-    ]
-    histogram: dict[str, int] = {}
-    for o in partition.orbits:
-        histogram[str(o.size)] = histogram.get(str(o.size), 0) + 1
+    results = [_flag("orbit-sizes-divide",
+                     all(args.N % o.size == 0 for o in partition.orbits))]
+    results += _partition_checks(partition, args.m, args.N)
     provenance = {
         "orbit_count": len(partition.orbits),
-        "size_histogram": histogram,
+        "size_histogram": dict(Counter(str(o.size) for o in partition.orbits)),
         "caps": {},
     }
-    return _emit(_assemble("orbit", input_hash, EXACT, results,
-                           provenance, []), args.out)
+    return _emit(args, None, {"m": args.m, "N": args.N}, EXACT, results, provenance, [])
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
+# options that several commands share, as (flag, add_argument keywords)
+_N = ("--N", {"type": int, "required": True})
+_P = ("--p", {"default": None})
+_LABEL = ("--label", {"default": "T"})
+_WORD_CAP = ("--word-cap", {"type": int, "default": WORD_CAP})
+_MATRIX = ("--matrix", {"required": True})
+_FAMILY = ("--family", {"required": True})
+_M = ("--m", {"type": int, "required": True})
+_COMMON = (
+    ("--out", {"default": None, "help": "write the report here instead of stdout"}),
+    ("--tolerance", {"type": float, "default": DEFAULT_TOLERANCE}),
+    ("--seed", {"type": int, "default": DEFAULT_SEED}),
+)
 
-def _add_common(sub):
-    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+# (name, handler, help, options before the common ones)
+_COMMANDS = (
+    ("build", _cmd_build, "build a dilation and check Q J = I", (
+        ("--combo", {"required": True, "help": "combination payload (JSON)"}),
+        _N, _P, _LABEL)),
+    ("verify", _cmd_verify, "check compressed words against powers", (
+        ("--combo", {"required": True}), _N, _P, _LABEL,
+        ("--all-up-to", {"type": int, "default": None}),
+        ("--word", {"action": "append", "default": [],
+                    "help": "explicit comma-separated label word; repeatable"}),
+        _WORD_CAP)),
+    ("simultaneous", _cmd_simultaneous, "one dilation for a family of combinations", (
+        _FAMILY, _N, _P, ("--m-cap", {"type": int, "default": 64}), _WORD_CAP)),
+    ("zero-augment", _cmd_zero_augment, "adjoin the zero operator to an isometry family",
+     (_FAMILY, _N, _P, _WORD_CAP)),
+    ("shift", _cmd_shift, "cyclic shift dilation of an l^1 contraction", (
+        _MATRIX, ("--window", {"type": int, "required": True}), _WORD_CAP)),
+    ("decompose", _cmd_decompose, "write a contraction as a combination of orthogonals", (
+        _MATRIX, ("--max-denominator", {"type": int, "default": 10 ** 9}))),
+    ("hull-check", _cmd_hull_check, "membership in the (sub)convex hull of generators", (
+        _MATRIX,
+        ("--generators", {"required": True, "help": "'perms', 'sperms', or a JSON file"}),
+        ("--mode", {"choices": [CONVEX, SUBCONVEX], "default": CONVEX}),
+        ("--max-denominator", {"type": int, "default": SNAP_DENOMINATOR}))),
+    ("identity-check", _cmd_identity_check, "cyclic word-sum and orbit identities", (
+        _M, _N, ("--trials", {"type": int, "default": 10}))),
+    ("oracle", _cmd_oracle, "classical block-unitary dilation checks", (
+        _MATRIX, _N,
+        ("--cross", {"action": "store_true",
+                     "help": "also run the decomposition route and compare"}))),
+    ("orbit", _cmd_orbit, "cyclic-shift orbit structure report", (_M, _N)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -631,94 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dilations",
         description="Exact dilation constructions for combinations of l^p isometries")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("build", help="build a dilation and check Q J = I")
-    sub.add_argument("--combo", required=True, help="combination payload (JSON)")
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--p", default=None)
-    sub.add_argument("--label", default="T")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_build)
-
-    sub = subs.add_parser("verify", help="check compressed words against powers")
-    sub.add_argument("--combo", required=True)
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--p", default=None)
-    sub.add_argument("--label", default="T")
-    sub.add_argument("--all-up-to", type=int, default=None, dest="all_up_to")
-    sub.add_argument("--word", action="append", default=[],
-                     help="explicit comma-separated label word; repeatable")
-    sub.add_argument("--word-cap", type=int, default=WORD_CAP, dest="word_cap")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_verify)
-
-    sub = subs.add_parser("simultaneous",
-                          help="one dilation for a family of combinations")
-    sub.add_argument("--family", required=True)
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--p", default=None)
-    sub.add_argument("--m-cap", type=int, default=64, dest="m_cap")
-    sub.add_argument("--word-cap", type=int, default=WORD_CAP, dest="word_cap")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_simultaneous)
-
-    sub = subs.add_parser("zero-augment",
-                          help="adjoin the zero operator to an isometry family")
-    sub.add_argument("--family", required=True)
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--p", default=None)
-    sub.add_argument("--word-cap", type=int, default=WORD_CAP, dest="word_cap")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_zero_augment)
-
-    sub = subs.add_parser("shift", help="cyclic shift dilation of an l^1 contraction")
-    sub.add_argument("--matrix", required=True)
-    sub.add_argument("--window", type=int, required=True)
-    sub.add_argument("--word-cap", type=int, default=WORD_CAP, dest="word_cap")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_shift)
-
-    sub = subs.add_parser("decompose",
-                          help="write a contraction as a combination of orthogonals")
-    sub.add_argument("--matrix", required=True)
-    sub.add_argument("--max-denominator", type=int, default=10 ** 9,
-                     dest="max_denominator")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_decompose)
-
-    sub = subs.add_parser("hull-check",
-                          help="membership in the (sub)convex hull of generators")
-    sub.add_argument("--matrix", required=True)
-    sub.add_argument("--generators", required=True,
-                     help="'perms', 'sperms', or a JSON file")
-    sub.add_argument("--mode", choices=[CONVEX, SUBCONVEX], default=CONVEX)
-    sub.add_argument("--max-denominator", type=int, default=SNAP_DENOMINATOR,
-                     dest="max_denominator")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_hull_check)
-
-    sub = subs.add_parser("identity-check",
-                          help="cyclic word-sum and orbit identities")
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--trials", type=int, default=10)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_identity_check)
-
-    sub = subs.add_parser("oracle", help="classical block-unitary dilation checks")
-    sub.add_argument("--matrix", required=True)
-    sub.add_argument("--N", type=int, required=True)
-    sub.add_argument("--cross", action="store_true",
-                     help="also run the decomposition route and compare")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_oracle)
-
-    sub = subs.add_parser("orbit", help="cyclic-shift orbit structure report")
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--N", type=int, required=True)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_orbit)
-
+    for name, func, text, options in _COMMANDS:
+        sub = subs.add_parser(name, help=text)
+        for flag, spec in options + _COMMON:
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -21,6 +21,8 @@ from .builders import ConvexCombination, build_n_dilation_parts, compressed_powe
 from .isometries import decompose_contraction, rationalize_decomposition
 from .linalg import EXACT, OperatorMatrix, PNorm, sym_eig
 
+DIM_CAP = 256        # d*(N+1): oracle's N+1 dense powers of U, ~1 s at 256 and ~16 s at 512
+                     # on one BLAS thread of a 2-vCPU x86 host
 _NORM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 _CROSS_DIM_CAP = 5
@@ -79,13 +81,16 @@ def schaffer_dilation(T: OperatorMatrix, N: int) -> UnitaryNDilation:
     """Block unitary N-dilation of a contraction on R^d.
 
     Requires the spectral norm of T to be at most 1 (up to 1e-12, then
-    clamped inside the defect roots).
+    clamped inside the defect roots), and d*(N+1) at most DIM_CAP.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    t = T.to_float() if T.mode == EXACT else T
-    if not t.is_square:
+    if not T.is_square:
         raise ValueError("need a square matrix")
+    if T.rows * (N + 1) > DIM_CAP:
+        raise ValueError(f"dilation too large: {N + 1} blocks of size {T.rows} are over "
+                         f"the cap of {DIM_CAP} dimensions")
+    t = T.to_float() if T.mode == EXACT else T
     nrm = spectral_norm(t)
     if nrm > 1.0 + _NORM_TOL:
         raise ValueError(f"spectral norm {nrm:.12g} exceeds 1")

@@ -537,6 +537,40 @@ def test_size_cap_before_enumeration(monkeypatch):
         build_simultaneous_n_dilation(fam, 22, P3)
 
 
+def test_one_term_slot_cap_before_index_arrays(monkeypatch):
+    # m = 1 passes the m^N row test for any N, but the index arrays are N long
+    def never(*args):
+        raise AssertionError("N-long index arrays made past the slot cap")
+
+    monkeypatch.setattr(builders, "_slot_rows", never)
+    monkeypatch.setattr(builders, "_class_keys", never)
+    one = _combo((F(1),), (SWAP,))
+    builds = (build_n_dilation,
+              lambda combo, N, p: next(builders.build_n_dilation_parts(combo, N, p)),
+              lambda combo, N, p: build_simultaneous_n_dilation({"A": combo}, N, p))
+    for build in builds:
+        with pytest.raises(ValueError, match="dilation too large"):
+            build(one, builders.SLOT_CAP + 1, P3)
+    with pytest.raises(AssertionError, match="past the slot cap"):
+        build_n_dilation(one, builders.SLOT_CAP, P3)
+
+
+def test_simultaneous_size_cap_before_copies_and_isometry_checks(monkeypatch):
+    def never(*args):
+        raise AssertionError("terms copied or checked past the size cap")
+
+    family = {"A": _combo((F(1, 10 ** 6), 1 - F(1, 10 ** 6)))}
+    monkeypatch.setattr(builders, "_expand_to_denominator", never)
+    with pytest.raises(ValueError, match="dilation too large: 1 x 1000000\\^2"):
+        rationalize_family(family, m_cap=10 ** 9, N=2)
+    monkeypatch.undo()
+    fam = rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
+                              "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))})
+    monkeypatch.setattr(builders, "is_lp_isometry", never)
+    with pytest.raises(ValueError, match="over the cap"):
+        build_simultaneous_n_dilation(fam, 24, P3)
+
+
 def test_word_set_cap_before_enumeration(monkeypatch):
     def never(*args):
         raise AssertionError("words enumerated past the word-set cap")

@@ -1,12 +1,13 @@
 """End-to-end command line runs: schemas, exit codes, determinism."""
 
+import argparse
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from dilations import builders, cli
+from dilations import builders, cli, schaffer
 from dilations.builders import ConvexCombination
 from dilations.cli import run
 from dilations.linalg import OperatorMatrix, PNorm
@@ -530,3 +531,141 @@ def test_enumeration_over_the_cap_is_input_error(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "words to enumerate" in captured.err or "--trials" in captured.err
+
+
+_MIXED = "payload mixes exact and float entries; forcing float mode"
+_MATRIX_MIXED = "matrix mixes exact and float entries; forcing float mode"
+_SNAPPED = "float matrix snapped to the rational grid"
+_FLOAT_SWAP = _mat([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("argv, payload, mode, warnings", [
+    (["build", "--N", "2"],
+     {"p": "3", "isometries": [_mat([[1, 0], [0, 1]]), _mat([[0, 1.0], [1, 0]])],
+      "weights": ["1/3", "2/3"]}, "float64", [_MIXED]),
+    (["verify", "--N", "2", "--all-up-to", "2"],
+     {"p": "3", "isometries": [_mat([[1, 0], [0, 1]]), _mat([[0, 1.0], [1, 0]])],
+      "weights": ["1/3", "2/3"]}, "float64", [_MIXED]),
+    (["build", "--N", "2"],
+     {"p": "3", "isometries": [_mat([[1.0, 0.0], [0.0, 1.0]]), _mat([[0, 1], [1, 0]])],
+      "weights": ["1/3", "2/3"]}, "float64", [_MIXED]),
+    (["verify", "--N", "2", "--word", "T,T"],
+     {"p": "3", "isometries": [_mat([[1.0, 0.0], [0.0, 1.0]]), _FLOAT_SWAP],
+      "weights": ["1/3", "2/3"]}, "float64", None),
+    (["simultaneous", "--N", "2"],
+     {"p": "3", "members": {
+         "A": {"isometries": [_mat([[1, 0], [0, 1]]), _mat([[0, 1], [1, 0.0]])],
+               "weights": ["1/2", "1/2"]},
+         "B": {"isometries": [_mat([[-1.0, 0], [0, 1]]), _FLOAT_SWAP],
+               "weights": ["1/3", "2/3"]}}}, "float64", [_MIXED]),
+    (["zero-augment", "--N", "2"],
+     {"p": "3", "members": {"A": _mat([[0, 1.0], [1, 0]]), "B": _mat([[-1, 0], [0, 1]])}},
+     "float64", [_MIXED]),
+    (["shift", "--window", "3"], _mat([["1/2", 0.25], [0.25, "1/2"]]), "float64",
+     [_MATRIX_MIXED]),
+    (["decompose"], _mat([["1/2", 0.25], [0.25, "1/2"]]), "float64", [_MATRIX_MIXED]),
+    (["hull-check", "--generators", "perms"], _mat([["1/2", 0.5], [0.5, "1/2"]]), "exact",
+     [_SNAPPED, _MATRIX_MIXED]),
+    (["oracle", "--N", "2"], _mat([["1/2", 0.1], [0, "3/5"]]), "float64",
+     [_MATRIX_MIXED]),
+], ids=["build-mixed", "verify-mixed", "build-float-and-exact", "verify-all-float",
+        "simultaneous-mixed", "zero-augment-mixed", "shift-mixed", "decompose-mixed",
+        "hull-check-mixed", "oracle-mixed"])
+def test_report_mode_and_warnings(argv, payload, mode, warnings, tmp_path, capsys):
+    flag = {"build": "--combo", "verify": "--combo", "simultaneous": "--family",
+            "zero-augment": "--family"}.get(argv[0], "--matrix")
+    path = _write(tmp_path, "payload.json", payload)
+    code, doc = _run_json(capsys, argv[:1] + [flag, path] + argv[1:])
+    assert code == 0 and doc["summary"]["pass"] is True
+    assert doc["inputs"]["mode"] == mode
+    assert doc.get("warnings") == warnings
+
+
+REQUIRED = object()
+_COMMON_OPTIONS = {"--out": None, "--tolerance": 1e-9, "--seed": 42}
+
+
+def test_parser_options_and_defaults():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {}
+    for name, sub in subs.choices.items():
+        got[name] = {}
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            flag, = action.option_strings
+            assert action.dest == flag[2:].replace("-", "_")
+            got[name][flag] = REQUIRED if action.required else action.default
+    expected = {
+        "build": {"--combo": REQUIRED, "--N": REQUIRED, "--p": None, "--label": "T",
+                  **_COMMON_OPTIONS},
+        "verify": {"--combo": REQUIRED, "--N": REQUIRED, "--p": None, "--label": "T",
+                   "--all-up-to": None, "--word": [], "--word-cap": 10_000,
+                   **_COMMON_OPTIONS},
+        "simultaneous": {"--family": REQUIRED, "--N": REQUIRED, "--p": None, "--m-cap": 64,
+                         "--word-cap": 10_000, **_COMMON_OPTIONS},
+        "zero-augment": {"--family": REQUIRED, "--N": REQUIRED, "--p": None,
+                         "--word-cap": 10_000, **_COMMON_OPTIONS},
+        "shift": {"--matrix": REQUIRED, "--window": REQUIRED, "--word-cap": 10_000,
+                  **_COMMON_OPTIONS},
+        "decompose": {"--matrix": REQUIRED, "--max-denominator": 10 ** 9,
+                      **_COMMON_OPTIONS},
+        "hull-check": {"--matrix": REQUIRED, "--generators": REQUIRED, "--mode": "convex",
+                       "--max-denominator": 10 ** 6, **_COMMON_OPTIONS},
+        "identity-check": {"--m": REQUIRED, "--N": REQUIRED, "--trials": 10,
+                           **_COMMON_OPTIONS},
+        "oracle": {"--matrix": REQUIRED, "--N": REQUIRED, "--cross": False,
+                   **_COMMON_OPTIONS},
+        "orbit": {"--m": REQUIRED, "--N": REQUIRED, **_COMMON_OPTIONS},
+    }
+    assert got == expected
+    # the commands and their options in the order that --help lists them
+    assert [(name, list(opts)) for name, opts in got.items()] == [
+        (name, list(opts)) for name, opts in expected.items()]
+
+
+def test_oracle_refuses_an_oversized_unitary_before_building(tmp_path, capsys, monkeypatch):
+    # d * (N + 1) is bounded before the defect roots or the dense unitary are made
+    def never(*args):
+        raise AssertionError("defect roots taken past the size cap")
+
+    monkeypatch.setattr(schaffer, "defect_root", never)
+    matrix = _write(tmp_path, "m.json", _mat([[0.5, 0.1], [0.0, 0.6]]))
+    code = run(["oracle", "--matrix", matrix, "--N", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: dilation too large")
+
+
+def test_one_term_build_refuses_huge_n_before_index_arrays(tmp_path, capsys, monkeypatch):
+    # with m = 1 there is one alpha row for every N, but the index arrays are N long
+    def never(*args):
+        raise AssertionError("N-long index arrays made past the slot cap")
+
+    monkeypatch.setattr(builders, "_slot_rows", never)
+    monkeypatch.setattr(builders, "_class_keys", never)
+    combo = _write(tmp_path, "c.json", {"p": "3", "isometries": [_mat([[0, 1], [1, 0]])],
+                                        "weights": ["1"]})
+    code = run(["build", "--combo", combo, "--N", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: dilation too large")
+
+
+def test_simultaneous_refuses_a_large_denominator_before_copying(tmp_path, capsys,
+                                                                 monkeypatch):
+    # lcd = 10^6 is under --m-cap, but 10^6^2 blocks are over the size cap: refused
+    # before a term is copied 10^6 times or a copy is checked for isometry
+    def never(*args):
+        raise AssertionError("terms copied or checked past the size cap")
+
+    monkeypatch.setattr(builders, "_expand_to_denominator", never)
+    monkeypatch.setattr(builders, "is_lp_isometry", never)
+    family = _write(tmp_path, "f.json", {"p": "3", "members": {"A": {
+        "isometries": [_mat([[1, 0], [0, 1]]), _mat([[0, 1], [1, 0]])],
+        "weights": ["1/1000000", "999999/1000000"]}}})
+    code = run(["simultaneous", "--family", family, "--N", "2", "--m-cap", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: dilation too large")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilations import builders
+from dilations import builders, schaffer
 from dilations.builders import (BlockDiagonalOperator, ConvexCombination,
                                 build_n_dilation, build_n_dilation_parts,
                                 compressed_powers)
@@ -169,6 +169,20 @@ def test_cross_validate_runs_one_product_per_power(N, monkeypatch):
     assert len(report.decomposition_residuals) == N + 1
     assert report.max_decomposition <= 1e-6
     assert len(products) == max(N - 1, 0)
+
+
+def test_dilation_size_cap(monkeypatch):
+    # d * (N + 1) = 256 builds; past it nothing is rooted or allocated
+    def never(*args):
+        raise AssertionError("built past the size cap")
+
+    T = OperatorMatrix([[0.5, 0.1], [0.0, 0.6]])
+    assert schaffer_dilation(T, 127).U.rows == schaffer.DIM_CAP
+    monkeypatch.setattr(schaffer, "defect_root", never)
+    monkeypatch.setattr(schaffer, "spectral_norm", never)
+    for N in (128, 10 ** 12):
+        with pytest.raises(ValueError, match="dilation too large"):
+            schaffer_dilation(T, N)
 
 
 def test_cross_validate_caps():
