@@ -38,7 +38,7 @@ INFINITE_GUARANTEE = math.inf
 WORD_CAP = 10_000
 WORD_LABEL_CAP = 100 * WORD_CAP   # labels in all of a word set's words: WORD_CAP of length 100
 STACK_BYTES_CAP = 64 * 2 ** 20    # a builder's U stacks, at 8 bytes per entry
-SLOT_CAP = STACK_BYTES_CAP // 8   # N: the builders make N-long int64 index arrays
+GATHER_BYTES_CAP = 64 * 2 ** 20   # the N slot sub-blocks of one block, which a compression sums
 
 _L1_CONTRACTION_TOL = 1e-12
 
@@ -333,10 +333,12 @@ class BlockDiagonalOperator:
 
     def _orbits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Stack rows of blocks start..stop: [a, k] = tau^k a feeds block row k of block a."""
-        rows = [np.arange(start, self.count if stop is None else min(stop, self.count))]
-        for _ in range(self.copies - 1):
-            rows.append(self.tau[rows[-1]])
-        return np.stack(rows, axis=1)
+        first = np.arange(start, self.count if stop is None else min(stop, self.count))
+        rows = np.empty((len(first), self.copies), dtype=np.intp)
+        rows[:, 0] = first
+        for k in range(1, self.copies):
+            rows[:, k] = self.tau[rows[:, k - 1]]
+        return rows
 
     @property
     def blocks(self) -> list[OperatorMatrix]:
@@ -562,9 +564,12 @@ def _scaled_maps(bases, classes, N: int, d: int, p: PNorm, mode: str):
 def _validated_combo(combo: ConvexCombination, N: int, p: PNorm) -> ConvexCombination:
     if N < 1:
         raise ValueError("N must be at least 1")
-    if N > SLOT_CAP:
-        raise ValueError(f"dilation too large: N={N} slots are over the cap of {SLOT_CAP}, "
-                         f"one 8-byte index a slot in {STACK_BYTES_CAP} bytes")
+    # a compression gathers a block's N slot sub-blocks, even when m = 1 makes one
+    # block; STACK_BYTES_CAP also sizes build_n_dilation_parts' parts, where one
+    # orbit may outgrow a part, so this bound has a cap of its own
+    if N * combo.dim ** 2 * 8 > GATHER_BYTES_CAP:
+        raise ValueError(f"dilation too large: N={N} sub-blocks of size {combo.dim} are over "
+                         f"the cap of {GATHER_BYTES_CAP} bytes")
     names = combo.labels or tuple(f"term {i}" for i in range(combo.m))
     _require_isometries(zip(names, combo.isometries), p)
     return combo
@@ -717,18 +722,17 @@ def _expand_to_denominator(combo: ConvexCombination, lcd: int) -> ConvexCombinat
                              tuple(labels) if combo.labels is not None else None)
 
 
-def rationalize_family(family: Mapping[str, ConvexCombination], m_cap: int = 64,
-                       N: int | None = None) -> dict[str, ConvexCombination]:
-    """Rationalize every member to one common equal-weight count.
+def rationalize_family(family: Mapping[str, ConvexCombination], N: int,
+                       m_cap: int = 64) -> dict[str, ConvexCombination]:
+    """Rationalize every member to one common equal-weight count for an N-dilation.
 
-    Given N, first refuse the family's simultaneous N-dilation over that
-    count if it is over the size cap, before any term is copied.
+    The family's simultaneous N-dilation over that count is refused if it is
+    over the size cap, before any term is copied.
     """
     if not family:
         raise ValueError("empty family")
     lcd = _common_denominator([w for combo in family.values() for w in combo.weights], m_cap)
-    if N is not None:
-        _check_size(lcd, N, next(iter(family.values())).dim, stacks=len(family))
+    _check_size(lcd, N, next(iter(family.values())).dim, stacks=len(family))
     return {name: _expand_to_denominator(combo, lcd) for name, combo in family.items()}
 
 

@@ -88,23 +88,15 @@ def _parse_matrix(obj) -> tuple[OperatorMatrix, bool]:
         raise PayloadError("rows and cols must be integers")
     if not isinstance(data, list) or len(data) != rows:
         raise PayloadError("data must hold exactly `rows` rows")
-    parsed = []
-    saw_exact = saw_float = False
+    parsed, kinds = [], set()
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise PayloadError("every data row must hold exactly `cols` entries")
-        out = []
-        for x in row:
-            kind, val = _parse_scalar(x)
-            if kind == EXACT:
-                saw_exact = True
-            else:
-                saw_float = True
-            out.append(val)
-        parsed.append(out)
-    mixed = saw_exact and saw_float
-    if saw_float:
-        return OperatorMatrix([[float(x) for x in r] for r in parsed]), mixed
+        entries = [_parse_scalar(x) for x in row]
+        kinds.update(kind for kind, _ in entries)
+        parsed.append([val for _, val in entries])
+    if FLOAT64 in kinds:
+        return OperatorMatrix([[float(x) for x in r] for r in parsed]), EXACT in kinds
     return OperatorMatrix(parsed), False
 
 
@@ -281,8 +273,9 @@ def _cmd_verify(args) -> int:
     combo, p, warnings = _parse_combination(payload, args.p)
     if (args.all_up_to is None) == (not args.word):
         raise PayloadError("give exactly one of --all-up-to n and --word (repeatable)")
-    params = {"N": args.N, "p": str(p), "label": args.label, "all_up_to": args.all_up_to,
-              "words": args.word, "tolerance": args.tolerance, "seed": args.seed,
+    params = {"N": args.N, "p": str(p), "label": args.label,
+              "all_up_to": args.all_up_to, "words": args.word,
+              "tolerance": args.tolerance, "seed": args.seed,
               "word_cap": args.word_cap}
     if args.all_up_to is not None:
         check_word_set(1, args.all_up_to, args.word_cap)
@@ -307,7 +300,7 @@ def _cmd_simultaneous(args) -> int:
     params = {"N": args.N, "p": str(p), "m_cap": args.m_cap,
               "tolerance": args.tolerance, "seed": args.seed}
     check_word_set(len(family), args.N, args.word_cap)
-    rationalized = rationalize_family(family, m_cap=args.m_cap, N=args.N)
+    rationalized = rationalize_family(family, args.N, m_cap=args.m_cap)
     triple = build_simultaneous_n_dilation(rationalized, args.N, p)
     targets = {name: combo.operator() for name, combo in family.items()}
     return _verify_report(args, payload, params, triple, targets, warnings, args.N, args.N,
@@ -321,7 +314,8 @@ def _cmd_zero_augment(args) -> int:
     mats, warnings = _parse_matrices(entries.values())
     members = dict(zip(entries, mats))
     p = _resolve_p(payload.get("p"), args.p)
-    params = {"N": args.N, "p": str(p), "tolerance": args.tolerance, "seed": args.seed}
+    params = {"N": args.N, "p": str(p), "tolerance": args.tolerance,
+              "seed": args.seed}
     check_word_set(len(members) + ("0" not in members), args.N, args.word_cap)
     triple = zero_augment(members, args.N, p)
     return _verify_report(args, payload, params, triple, zero_augment_targets(members),
@@ -330,7 +324,8 @@ def _cmd_zero_augment(args) -> int:
 
 def _cmd_shift(args) -> int:
     payload, mat, warnings = _load_matrix(args.matrix)
-    params = {"window": args.window, "tolerance": args.tolerance, "seed": args.seed}
+    params = {"window": args.window, "tolerance": args.tolerance,
+              "seed": args.seed}
     check_word_set(1, args.window, args.word_cap)
     triple = shift_dilation(mat, args.window)
     return _verify_report(args, payload, params, triple, {"T": mat}, warnings,
@@ -339,7 +334,8 @@ def _cmd_shift(args) -> int:
 
 def _cmd_decompose(args) -> int:
     payload, mat, warnings = _load_matrix(args.matrix)
-    params = {"max_denominator": args.max_denominator, "tolerance": args.tolerance}
+    params = {"max_denominator": args.max_denominator,
+              "tolerance": args.tolerance}
     decomp = decompose_contraction(mat)
     snapped, snap_err = rationalize_decomposition(decomp, args.max_denominator)
     recon_res = operator_residual(decomp.reconstruct(), mat.to_float())
@@ -433,18 +429,6 @@ def _cmd_hull_check(args) -> int:
     return _emit(args, payload, params, EXACT, results, provenance, warnings)
 
 
-def _random_weights(m: int, rng: random.Random) -> list[Fraction]:
-    raw = [rng.randint(1, 9) for _ in range(m)]
-    total = sum(raw)
-    return [Fraction(a, total) for a in raw]
-
-
-def _word_sum_residual(diff) -> float:
-    if not diff:
-        return 0.0
-    return max(abs(float(c)) for _, c in diff.terms())
-
-
 def _check_enumeration(m: int, N: int, per_index: int):
     """Refuse, before enumerating, per_index * m^N words over ENUMERATION_CAP.
 
@@ -471,17 +455,20 @@ def _cmd_identity_check(args) -> int:
     if args.trials < 0:
         raise PayloadError("--trials must be nonnegative")
     _check_enumeration(args.m, args.N, (args.trials + 1) * (args.N + 1) * args.N)
-    params = {"m": args.m, "N": args.N, "trials": args.trials, "seed": args.seed}
+    params = {"m": args.m, "N": args.N, "trials": args.trials,
+              "seed": args.seed}
     rng = random.Random(args.seed)
     trials = [[Fraction(1, args.m)] * args.m]
-    trials += [_random_weights(args.m, rng) for _ in range(args.trials)]
+    for _ in range(args.trials):
+        raw = [rng.randint(1, 9) for _ in range(args.m)]
+        trials.append([Fraction(a, sum(raw)) for a in raw])
     results = []
     for t, weights in enumerate(trials):
         kind = "uniform" if t == 0 else f"trial-{t}"
         for n in range(args.N + 1):
             diff = lhs_word_sum(args.m, args.N, n, weights) \
                 - rhs_word_sum(args.m, args.N, n, weights)
-            residual = _word_sum_residual(diff)
+            residual = max((abs(float(c)) for _, c in diff.terms()), default=0.0)
             results.append(_check(f"word-sum {kind} n={n}", residual,
                                   residual == 0.0))
     partition = orbit_partition(args.m, args.N)
@@ -490,13 +477,18 @@ def _cmd_identity_check(args) -> int:
             check_orbit_identity(orbit, n) for orbit in partition.orbits)))
     results += _partition_checks(partition, args.m, args.N)
     results.append(_flag("product-fibres-uniform", double_coset_count(args.N).uniform))
-    provenance = {"orbit_count": len(partition.orbits), "caps": {}, "n_guarantee": args.N}
+    provenance = {
+        "orbit_count": len(partition.orbits),
+        "caps": {},
+        "n_guarantee": args.N,
+    }
     return _emit(args, None, params, EXACT, results, provenance, [])
 
 
 def _cmd_oracle(args) -> int:
     payload, mat, warnings = _load_matrix(args.matrix)
-    params = {"N": args.N, "cross": bool(args.cross), "tolerance": args.tolerance}
+    params = {"N": args.N, "cross": bool(args.cross),
+              "tolerance": args.tolerance}
     dil = schaffer_dilation(mat, args.N)
     ortho = dil.orthogonality_defect()
     results = [_check("orthogonality", ortho, ortho <= _ORTHOGONALITY_TOL)]
@@ -506,7 +498,11 @@ def _cmd_oracle(args) -> int:
         res = operator_residual(dil.compression(n), power)
         results.append(_check(f"compression n={n}", res, res <= args.tolerance))
         power = power @ base
-    provenance = {"space_dim": dil.U.rows, "n_guarantee": args.N, "caps": {}}
+    provenance = {
+        "space_dim": dil.U.rows,
+        "n_guarantee": args.N,
+        "caps": {},
+    }
     if args.cross:
         report = cross_validate(mat, args.N)
         for n, res in enumerate(report.decomposition_residuals):
@@ -522,6 +518,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_orbit(args) -> int:
     _check_enumeration(args.m, args.N, args.N)
+    params = {"m": args.m, "N": args.N}
     partition = orbit_partition(args.m, args.N)
     results = [_flag("orbit-sizes-divide",
                      all(args.N % o.size == 0 for o in partition.orbits))]
@@ -531,7 +528,7 @@ def _cmd_orbit(args) -> int:
         "size_histogram": dict(Counter(str(o.size) for o in partition.orbits)),
         "caps": {},
     }
-    return _emit(args, None, {"m": args.m, "N": args.N}, EXACT, results, provenance, [])
+    return _emit(args, None, params, EXACT, results, provenance, [])
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_simultaneous_families():
         "A": ConvexCombination((eye, swap), (F(1, 2), F(1, 2))),
         "B": ConvexCombination((swap, neg), (F(1, 3), F(2, 3))),
         "C": ConvexCombination((eye, neg), (F(1, 6), F(5, 6))),
-    })
+    }, 3)
     assert all(c.m == 6 for c in fam3.values())
     ok = True
     for N in (1, 2, 3):
@@ -90,7 +90,7 @@ def test_simultaneous_families():
         "A": ConvexCombination((OperatorMatrix.identity(3), rot3),
                                (F(1, 2), F(1, 2))),
         "B": ConvexCombination((rot3, rot3 @ rot3), (F(1, 4), F(3, 4))),
-    })
+    }, 2)
     assert all(c.m == 4 for c in fam2.values())
     triple = build_simultaneous_n_dilation(fam2, 2, PNorm(F(3, 2)))
     targets = {k: v.operator() for k, v in fam2.items()}

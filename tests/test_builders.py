@@ -108,7 +108,7 @@ def test_qj_identity_every_builder():
     assert compress_word(t1, ()) == I2
 
     fam = rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
-                              "B": _combo((F(1, 3), F(2, 3)), (NEG, SWAP))})
+                              "B": _combo((F(1, 3), F(2, 3)), (NEG, SWAP))}, 2)
     t2 = build_simultaneous_n_dilation(fam, 2, P3)
     assert compress_word(t2, ()) == I2
 
@@ -188,7 +188,7 @@ def test_verify_rejects_unknown_label():
 
 def test_word_cap_sampling_deterministic():
     fam = rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
-                              "B": _combo((F(1, 2), F(1, 2)), (NEG, I2))})
+                              "B": _combo((F(1, 2), F(1, 2)), (NEG, I2))}, 3)
     triple = build_simultaneous_n_dilation(fam, 3, P3)
     targets = {k: v.operator() for k, v in fam.items()}
     r1 = verify_dilation(triple, targets, 3, word_cap=9)
@@ -216,7 +216,7 @@ def test_simultaneous_mixed_words_exact():
     fam = rationalize_family({
         "A": _combo((F(1, 2), F(1, 2))),
         "B": _combo((F(2, 3), F(1, 3)), (NEG, SWAP)),
-    })
+    }, 2)
     triple = build_simultaneous_n_dilation(fam, 2, P3)
     targets = {k: v.operator() for k, v in fam.items()}
     for word in itertools.chain.from_iterable(
@@ -481,14 +481,14 @@ def test_single_label_walk_shares_prefixes(monkeypatch):
     assert len(products) <= N
 
 
-def _three_member_family():
+def _three_member_family(N):
     return rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
                                "B": _combo((F(1, 3), F(2, 3)), (NEG, SWAP)),
-                               "C": _combo((F(1, 6), F(5, 6)), (SWAP, NEG))})
+                               "C": _combo((F(1, 6), F(5, 6)), (SWAP, NEG))}, N)
 
 
 def test_walk_one_product_per_extension(monkeypatch):
-    fam = _three_member_family()
+    fam = _three_member_family(3)
     triple = build_simultaneous_n_dilation(fam, 3, P3)
     products = _count_block_products(monkeypatch)
     report = verify_dilation(triple, {k: v.operator() for k, v in fam.items()}, 3)
@@ -499,7 +499,7 @@ def test_walk_one_product_per_extension(monkeypatch):
 
 @pytest.mark.parametrize("word_cap", [builders.WORD_CAP, 11])
 def test_walk_matches_check_word(word_cap):
-    fam = _three_member_family()
+    fam = _three_member_family(2)
     triple = build_simultaneous_n_dilation(fam, 2, P3)
     targets = {k: v.operator() for k, v in fam.items()}
     report = verify_dilation(triple, targets, 3, word_cap=word_cap, seed=3)
@@ -531,28 +531,31 @@ def test_size_cap_before_enumeration(monkeypatch):
     monkeypatch.setattr(builders, "_slot_rows", never)
     with pytest.raises(ValueError, match="over the cap"):
         build_n_dilation(_combo((F(1, 2), F(1, 2))), 22, P3)
-    fam = rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
-                              "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))})
+    fam = {"A": _combo((F(1, 2), F(1, 2))), "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))}
     with pytest.raises(ValueError, match="over the cap"):
         build_simultaneous_n_dilation(fam, 22, P3)
 
 
-def test_one_term_slot_cap_before_index_arrays(monkeypatch):
-    # m = 1 passes the m^N row test for any N, but the index arrays are N long
+@pytest.mark.parametrize("iso", [SWAP, OperatorMatrix(np.eye(50))],
+                         ids=["d2-exact", "d50-float"])
+def test_one_term_slot_cap_before_index_arrays(monkeypatch, iso):
+    # m = 1 passes the m^N row test for any N, but a compression gathers the
+    # N sub-blocks of size d, so N is capped by the bytes of N * d * d entries
     def never(*args):
         raise AssertionError("N-long index arrays made past the slot cap")
 
     monkeypatch.setattr(builders, "_slot_rows", never)
     monkeypatch.setattr(builders, "_class_keys", never)
-    one = _combo((F(1),), (SWAP,))
+    one = _combo((F(1),), (iso,))
+    cap = builders.GATHER_BYTES_CAP // (iso.rows ** 2 * 8)
     builds = (build_n_dilation,
               lambda combo, N, p: next(builders.build_n_dilation_parts(combo, N, p)),
               lambda combo, N, p: build_simultaneous_n_dilation({"A": combo}, N, p))
     for build in builds:
-        with pytest.raises(ValueError, match="dilation too large"):
-            build(one, builders.SLOT_CAP + 1, P3)
+        with pytest.raises(ValueError, match=f"dilation too large: N={cap + 1} sub-blocks"):
+            build(one, cap + 1, P2)
     with pytest.raises(AssertionError, match="past the slot cap"):
-        build_n_dilation(one, builders.SLOT_CAP, P3)
+        build_n_dilation(one, cap, P2)
 
 
 def test_simultaneous_size_cap_before_copies_and_isometry_checks(monkeypatch):
@@ -562,10 +565,9 @@ def test_simultaneous_size_cap_before_copies_and_isometry_checks(monkeypatch):
     family = {"A": _combo((F(1, 10 ** 6), 1 - F(1, 10 ** 6)))}
     monkeypatch.setattr(builders, "_expand_to_denominator", never)
     with pytest.raises(ValueError, match="dilation too large: 1 x 1000000\\^2"):
-        rationalize_family(family, m_cap=10 ** 9, N=2)
+        rationalize_family(family, 2, m_cap=10 ** 9)
     monkeypatch.undo()
-    fam = rationalize_family({"A": _combo((F(1, 2), F(1, 2))),
-                              "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))})
+    fam = {"A": _combo((F(1, 2), F(1, 2))), "B": _combo((F(1, 2), F(1, 2)), (NEG, SWAP))}
     monkeypatch.setattr(builders, "is_lp_isometry", never)
     with pytest.raises(ValueError, match="over the cap"):
         build_simultaneous_n_dilation(fam, 24, P3)
