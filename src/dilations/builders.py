@@ -14,6 +14,14 @@ carry the factored weights (base_alpha)^(1/p) and (base_alpha)^(1/q).
 Because the two exponents sum to 1 exactly, the composition Q U^n J only
 ever multiplies a rational base by rational matrix entries, so the whole
 verification runs in exact arithmetic with zero tolerance.
+
+Exact matrices are integer numerators over one denominator, in
+:class:`OperatorMatrix` as in the block kernel.  Only
+:class:`BlockDiagonalOperator`, where the volume is, keeps its numerators
+in int64 while a bound proves that safe: ``_integer_stack`` brings
+matrices in, and a compression hands its numerators back as Python ints.
+Word targets are plain ``OperatorMatrix`` products, so an exact word is
+decided by one ``==`` and a float word by its residual.
 """
 
 from __future__ import annotations
@@ -348,7 +356,7 @@ class BlockDiagonalOperator:
         outer, row = np.indices((self.count, copies))
         dense[outer, row, :, (row + self.shift) % copies, :] = self.stack[self._orbits()]
         dense = dense.reshape(self.count, self.size, self.size)
-        return [_block_matrix(block, self.mode, self.denominator) for block in dense]
+        return [OperatorMatrix.from_numerators(block, self.denominator) for block in dense]
 
     def __matmul__(self, other: "BlockDiagonalOperator") -> "BlockDiagonalOperator":
         if not isinstance(other, BlockDiagonalOperator):
@@ -375,35 +383,27 @@ _INT64_LIMIT = 2 ** 63
 _ROW_CHUNK = 2 ** 12     # stack rows per chunk of the per-row temporaries
 
 
-def _promoted(a: np.ndarray, b: np.ndarray, bound: int | None):
-    """a and b, as Python ints once `bound` (None in float mode) no longer proves int64 safe."""
-    if bound is not None and bound >= _INT64_LIMIT:
-        return a.astype(object), b.astype(object)
-    return a, b
-
-
 def _gathered_matmul(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
                      bound: int | None) -> np.ndarray:
-    """a[i] @ b[rows[i]] for every i."""
-    a, b = _promoted(a, b, bound)
+    """a[i] @ b[rows[i]] for every i.
+
+    Both are promoted to Python ints once `bound` (None in float mode) no
+    longer proves int64 safe.
+    """
+    if bound is not None and bound >= _INT64_LIMIT:
+        a, b = a.astype(object), b.astype(object)
     return np.matmul(a, b[rows])
 
 
-def _block_matrix(block: np.ndarray, mode: str, den: int) -> OperatorMatrix:
-    """One stack entry as a matrix: float entries, or numerators over den."""
-    if mode == FLOAT64:
-        return OperatorMatrix(block)
-    return OperatorMatrix._from_exact_rows(
-        [[x if den == 1 else Fraction(x, den) for x in row] for row in block.tolist()])
-
-
 def _integer_stack(mats) -> tuple[np.ndarray, int, int]:
-    """Exact square matrices as (numerator stack, common denominator, row-sum bound)."""
-    den = math.lcm(*(x.denominator for t in mats for row in t._data for x in row))
-    nums = [[[x.numerator * (den // x.denominator) for x in row] for row in t._data]
-            for t in mats]
-    bound = max(sum(abs(x) for x in row) for t in nums for row in t)
-    return np.array(nums, dtype=np.int64 if bound < _INT64_LIMIT else object), den, bound
+    """Exact square matrices as (numerator stack, least common denominator, row-sum bound)."""
+    den = math.lcm(*(t.denominator for t in mats))
+    nums = np.stack([t.numerators * (den // t.denominator) for t in mats])
+    # the matrices' own denominators need not be least; the stack's is
+    common = math.gcd(den, *nums.ravel().tolist())
+    nums, den = nums // common, den // common
+    bound = int(np.max(np.sum(np.abs(nums), axis=2)))
+    return (nums.astype(np.int64) if bound < _INT64_LIMIT else nums), den, bound
 
 
 @dataclass(frozen=True)
@@ -418,6 +418,16 @@ class DilationTriple:
     mode: str
 
     def __post_init__(self):
+        # J and Q split each block's base as base^(1/p) and base^(1/q), so J
+        # is an isometry and the exponents cancel in Q U_w J; the mass J
+        # carries is not checked, as a part of build_n_dilation_parts holds
+        # only some of it
+        if isinstance(self.J, ScaledBlockMap) or isinstance(self.Q, ScaledBlockMap):
+            norm = self.space.norm
+            got = tuple(getattr(m, "exponent", None) for m in (self.J, self.Q))
+            if norm is None or got != (1 / norm.p, 1 / norm.q):
+                raise ValueError(f"J and Q exponents {got[0]} and {got[1]} are not 1/p and "
+                                 f"1/q of the space's norm l^{norm}")
         # _compress counts the block rows of U as `copies` copies of its
         # stack, which holds only if tau keeps every block in its weight
         # class; check that once, here
@@ -884,13 +894,11 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
         row = -middle.shift % middle.copies
         if q.reads is None and row:
             return OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
-        sub = _block_matrix(middle.stack[0], middle.mode, middle.denominator)
+        sub = OperatorMatrix.from_numerators(middle.stack[0], middle.denominator)
         return sub if q.reads is None else q.reads[row] @ sub
     if (not isinstance(q, ScaledBlockMap) or q.class_bases != j.class_bases
             or (q.classes is not j.classes and not np.array_equal(q.classes, j.classes))):
         raise ValueError("J and Q block scalings do not match")
-    if j.exponent + q.exponent != 1:
-        raise ValueError("J and Q exponents must sum to 1")
     if middle.count != j.block_count or middle.copies != j.copies:
         raise ValueError("block partition mismatch")
     stack = middle.stack
@@ -902,10 +910,8 @@ def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
         den, coeffs, weight = j._numerators
         if weight * middle.bound >= _INT64_LIMIT:
             coeffs, stack = coeffs.astype(object), stack.astype(object)
-        nums = (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:]).tolist()
-        den *= middle.denominator
-        return OperatorMatrix._from_exact_rows(
-            [[Fraction(j.copies * x, den) for x in row] for row in nums])
+        nums = (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+        return OperatorMatrix.from_numerators(nums, den * middle.denominator).scale(j.copies)
     # float: each block's N block rows summed in slot order, as in the full
     # stack, then weighted; a chunk of blocks at a time, so neither the
     # rotations nor their stack rows are ever held for every block at once
@@ -973,30 +979,6 @@ def _word_set(labels: Sequence[str], max_len: int, cap: int,
     return words
 
 
-def _exact_target(t: OperatorMatrix) -> tuple[np.ndarray, int, int]:
-    """An exact target as (integer numerators, common denominator, row-sum bound)."""
-    if t.mode != EXACT:
-        raise ModeError(f"mode mismatch: {EXACT} vs {t.mode}")
-    nums, den, bound = _integer_stack([t])
-    return nums[0], den, bound
-
-
-def _target_product(a, b):
-    """The product of two exact targets, promoted to Python ints past int64."""
-    bound = a[2] * b[2]
-    return np.matmul(*_promoted(a[0], b[0], bound)), a[1] * b[1], bound
-
-
-def _equals_target(got: OperatorMatrix, want) -> bool:
-    """got == nums / den, exactly, by cross-multiplying each entry."""
-    nums, den, _ = want
-    if got.shape != nums.shape:
-        return False
-    return all(
-        x.numerator * den == y * x.denominator
-        for row, want_row in zip(got._data, nums.tolist()) for x, y in zip(row, want_row))
-
-
 def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
           words: Sequence[tuple[str, ...]], tolerance: float) -> list[WordCheck]:
     """Decide every word; the one place a word verdict is made.
@@ -1007,18 +989,14 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
     step extends a prefix by one label with one product.  A stack holds
     (prefix length, U product, target product) along the current word, and
     keeps a prefix only at a length where a later word leaves the current
-    one; the others are replaced by their extensions.  Exact target products stay integer
-    numerators over one denominator; a Fraction target is built only for
-    the residual of a failing word.  The checks come back in the order of
-    `words`, repeats included.
+    one; the others are replaced by their extensions.  The checks come back
+    in the order of `words`, repeats included.
     """
     exact = triple.mode == EXACT
-    dim = next(iter(targets.values())).rows
-    if exact:
-        targets = {lbl: _exact_target(t) for lbl, t in targets.items()}
-        product, identity = _target_product, (np.eye(dim, dtype=np.int64), 1, 1)
-    else:
-        product, identity = operator.matmul, OperatorMatrix.identity(dim, triple.mode)
+    for t in targets.values():
+        if t.mode != triple.mode:
+            raise ModeError(f"mode mismatch: {triple.mode} vs {t.mode}")
+    identity = OperatorMatrix.identity(next(iter(targets.values())).rows, triple.mode)
     distinct = sorted(set(words))
     # leaves[j]: the lengths at which a later word leaves distinct[j], the
     # running minima of the common prefix lengths of neighbours from j on;
@@ -1039,7 +1017,7 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
             u, t = triple.U_family[word[i]], targets[word[i]]
             if stack:
                 length, pu, pt = stack[-1]
-                u, t = pu @ u, product(pt, t)
+                u, t = pu @ u, pt @ t
                 if length not in keep:
                     stack.pop()
             stack.append((i + 1, u, t))
@@ -1049,9 +1027,8 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
             middle, want = _identity_operator(triple), identity
         got = _compress(triple, middle)
         if exact:
-            passed = _equals_target(got, want)
-            residual = 0.0 if passed else operator_residual(
-                got, _block_matrix(want[0], EXACT, want[1]))
+            passed = got == want
+            residual = 0.0 if passed else operator_residual(got, want)
         else:
             residual = operator_residual(got, want)
             passed = residual <= tolerance

@@ -139,7 +139,8 @@ def _resolve_p(payload_p, flag_p) -> PNorm:
         raise PayloadError(f"bad p value {chosen!r}: {exc}") from exc
 
 
-def _parse_combination(obj, flag_p) -> tuple[ConvexCombination, PNorm, list[str]]:
+def _combination_fields(obj, flag_p) -> tuple[PNorm, list, list, list | None]:
+    """A combination payload's p, and its isometry, weight and label lists, unparsed."""
     if not isinstance(obj, dict):
         raise PayloadError("combination payload must be an object")
     if "isometries" not in obj or "weights" not in obj:
@@ -149,16 +150,24 @@ def _parse_combination(obj, flag_p) -> tuple[ConvexCombination, PNorm, list[str]
             or not isinstance(labels, (list, type(None)))):
         raise PayloadError("combination payload's 'isometries', 'weights' and 'labels' "
                            "must be lists")
-    p = _resolve_p(obj.get("p"), flag_p)
-    mats, warnings = _parse_matrices(obj["isometries"])
-    weights = [_parse_weight(w) for w in obj["weights"]]
+    return _resolve_p(obj.get("p"), flag_p), obj["isometries"], obj["weights"], labels
+
+
+def _combination(mats, weights, labels) -> ConvexCombination:
+    """The combination of parsed matrices with the payload's weights and labels."""
+    weights = [_parse_weight(w) for w in weights]
     if labels is not None:
         labels = tuple(str(x) for x in labels)
     try:
-        combo = ConvexCombination(tuple(mats), tuple(weights), labels)
+        return ConvexCombination(tuple(mats), tuple(weights), labels)
     except ValueError as exc:
         raise PayloadError(f"bad combination: {exc}") from exc
-    return combo, p, warnings
+
+
+def _parse_combination(obj, flag_p) -> tuple[ConvexCombination, PNorm, list[str]]:
+    p, isometries, weights, labels = _combination_fields(obj, flag_p)
+    mats, warnings = _parse_matrices(isometries)
+    return _combination(mats, weights, labels), p, warnings
 
 
 def _members(payload, kind: str) -> dict:
@@ -179,10 +188,9 @@ def _fmt_exact(x) -> str:
 
 
 def _matrix_doc(mat: OperatorMatrix):
+    data = mat.entries()
     if mat.mode == EXACT:
-        data = [[_fmt_exact(x) for x in row] for row in mat._data]
-    else:
-        data = [[float(x) for x in mat.row_entries(i)] for i in range(mat.rows)]
+        data = [[_fmt_exact(x) for x in row] for row in data]
     return {"rows": mat.rows, "cols": mat.cols, "data": data}
 
 
@@ -289,14 +297,17 @@ def _cmd_simultaneous(args) -> int:
     payload = _load_json(args.family)
     members = _members(payload, "combinations")
     p = _resolve_p(payload.get("p"), args.p)
-    warnings: list[str] = []
-    family = {}
-    for name in members:
-        if not isinstance(members[name], dict):
+    fields = {}
+    for name, obj in members.items():
+        if not isinstance(obj, dict):
             raise PayloadError(f"member {name!r} must be a combination object")
-        combo, _, w = _parse_combination(members[name], str(p.p))
-        warnings.extend(w)
-        family[name] = combo
+        fields[name] = _combination_fields(obj, str(p.p))[1:]
+    # one parse for the whole family, so a float entry anywhere makes it all float
+    mats, warnings = _parse_matrices([m for isos, _, _ in fields.values() for m in isos])
+    family, at = {}, 0
+    for name, (isos, weights, labels) in fields.items():
+        family[name] = _combination(mats[at:at + len(isos)], weights, labels)
+        at += len(isos)
     params = {"N": args.N, "p": str(p), "m_cap": args.m_cap,
               "tolerance": args.tolerance, "seed": args.seed}
     check_word_set(len(family), args.N, args.word_cap)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .isometries import (SignedPermutation, all_permutations,
                          all_signed_permutations, is_lp_isometry)
 from .linalg import EXACT, OperatorMatrix, PNorm
@@ -96,9 +98,11 @@ class SeparationCertificate:
         if mode == SUBCONVEX and self.functional_bound < 0:
             return False
         if self.has_pair:
-            if _evaluate(self.u, T, self.v) <= self.bound:
+            # <u, G v> as a one-row times G times a one-column matrix
+            u, v = OperatorMatrix([self.u]), OperatorMatrix([self.v]).transpose()
+            if (u @ T @ v)[0, 0] <= self.bound:
                 return False
-            if any(_evaluate(self.u, g, self.v) > self.bound for g in generators):
+            if any((u @ g @ v)[0, 0] > self.bound for g in generators):
                 return False
             if mode == SUBCONVEX and self.bound < 0:
                 return False
@@ -123,47 +127,26 @@ class MembershipResult:
 
 
 def _pairing(y: OperatorMatrix, g: OperatorMatrix) -> Fraction:
-    total = Fraction(0)
-    for ry, rg in zip(y._data, g._data):
-        for a, b in zip(ry, rg):
-            if a and b:
-                total += Fraction(a) * Fraction(b)
-    return total
-
-
-def _evaluate(u: Sequence[Fraction], g: OperatorMatrix,
-              v: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for i, row in enumerate(g._data):
-        if not u[i]:
-            continue
-        s = Fraction(0)
-        for j, x in enumerate(row):
-            if x and v[j]:
-                s += Fraction(x) * v[j]
-        total += u[i] * s
-    return total
+    """sum_ij y_ij g_ij, one integer sum over the product of the denominators."""
+    return Fraction(np.sum(y.numerators * g.numerators), y.denominator * g.denominator)
 
 
 def _rank_one_factor(y: OperatorMatrix):
-    """Exact u, v with y = u v^T, or None when rank(y) > 1."""
-    pivot_row = None
-    for i in range(y.rows):
-        if any(y._data[i]):
-            pivot_row = i
-            break
-    if pivot_row is None:
+    """Exact u, v with y = u v^T, or None when rank(y) > 1.
+
+    v is y's first nonzero row and u_i = y_{i,c} / v_c at v's first nonzero
+    column c; y is rank one when every 2x2 minor through (row, c) vanishes,
+    which the numerators decide without the denominator.
+    """
+    nums = y.numerators.tolist()
+    pivot = next((row for row in nums if any(row)), None)
+    if pivot is None:
         return None
-    v = tuple(Fraction(x) for x in y._data[pivot_row])
-    pivot_col = next(j for j, x in enumerate(v) if x)
-    u = []
-    for i in range(y.rows):
-        u.append(Fraction(y._data[i][pivot_col]) / v[pivot_col])
-    for i in range(y.rows):
-        for j in range(y.cols):
-            if Fraction(y._data[i][j]) != u[i] * v[j]:
-                return None
-    return tuple(u), v
+    c = next(j for j, x in enumerate(pivot) if x)
+    if any(row[j] * pivot[c] != row[c] * pivot[j] for row in nums for j in range(y.cols)):
+        return None
+    return (tuple(Fraction(row[c], pivot[c]) for row in nums),
+            tuple(Fraction(x, y.denominator) for x in pivot))
 
 
 def _candidate_vectors(d: int):
@@ -174,19 +157,6 @@ def _candidate_vectors(d: int):
         e = tuple(Fraction(1 if j == i else 0) for j in range(d))
         yield e
         yield tuple(-x for x in e)
-
-
-def _bordered_pairings(m: OperatorMatrix, den: int) -> list[list[int]]:
-    """den * <x, M y> for x, y running over the all-ones vector, e_0, ..., e_{d-1}.
-
-    Entry (0, 0) is the total, row 0 the column sums, column 0 the row sums
-    and entry (i + 1, j + 1) is M_ij, all integers when den is a common
-    denominator of M's entries.
-    """
-    rows = [[x.numerator * (den // x.denominator) if isinstance(x, Fraction)
-             else x * den for x in row] for row in m._data]
-    cols = [sum(col) for col in zip(*rows)]
-    return [[sum(cols)] + cols] + [[sum(row)] + row for row in rows]
 
 
 def _search_pair(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
@@ -204,13 +174,16 @@ def _search_pair(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
     candidate pair separates.
     """
     mats = [T, *generators]
-    den = math.lcm(*[x.denominator for m in mats for row in m._data for x in row
-                     if isinstance(x, Fraction)])
-    target, *tables = [_bordered_pairings(m, den) for m in mats]
+    den = math.lcm(*(m.denominator for m in mats))
+    # rows of `border`: the all-ones vector, then e_0, ..., e_{d-1}; so the
+    # numerators of border M border^T over den are den * <x, M y> for each pair
+    border = OperatorMatrix([[1] * T.rows] + OperatorMatrix.identity(T.rows).entries())
+    target, *tables = [(border @ m @ border.transpose()).numerators * (den // m.denominator)
+                       for m in mats]
+    tables = np.stack(tables)
+    highest, lowest = tables.max(axis=0).tolist(), tables.min(axis=0).tolist()
+    target = target.tolist()
     k = T.rows + 1
-    cells = [[[table[a][b] for table in tables] for b in range(k)] for a in range(k)]
-    highest = [[max(cell) for cell in row] for row in cells]
-    lowest = [[min(cell) for cell in row] for row in cells]
     best = None
     for iu in range(2 * k):
         for iv in range(2 * k):
@@ -228,7 +201,7 @@ def _search_pair(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
     cands = list(_candidate_vectors(T.rows))
     return (Fraction(gap, den), cands[iu], cands[iv], Fraction(bound, den),
             Fraction(sign * target[a][b], den),
-            [Fraction(sign * val, den) for val in cells[a][b]])
+            [Fraction(sign * val, den) for val in tables[:, a, b].tolist()])
 
 
 def hull_membership(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
@@ -270,10 +243,11 @@ def hull_membership(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
     r = len(gens)
     slack_col = 1 if mode == SUBCONVEX else 0
     rows, rhs = [], []
+    entries, target = [g.entries() for g in gens], T.entries()
     for a in range(d):
         for b in range(d):
-            rows.append([g._data[a][b] for g in gens] + [0] * slack_col)
-            rhs.append(T._data[a][b])
+            rows.append([g[a][b] for g in entries] + [0] * slack_col)
+            rhs.append(target[a][b])
     rows.append([1] * (r + slack_col))
     rhs.append(1)
 
@@ -281,10 +255,10 @@ def hull_membership(T: OperatorMatrix, generators: Sequence[OperatorMatrix],
     if outcome.feasible:
         weights = outcome.solution[:r]
         slack = outcome.solution[r] if slack_col else None
-        used = [(w, g._data) for w, g in zip(weights, gens) if w]
-        recon = OperatorMatrix._from_exact_rows(
-            [[sum((w * data[a][b] for w, data in used), Fraction(0))
-              for b in range(d)] for a in range(d)])
+        recon = OperatorMatrix.zeros(d, d)
+        for w, g in zip(weights, gens):
+            if w:
+                recon = recon + g.scale(w)
         if recon != T:
             raise ArithmeticError("feasible LP point does not reconstruct the target")
         coeffs = {name: w for name, w in zip(names, weights)}
@@ -389,7 +363,7 @@ def positive_isometry_scan(d: int, norm: PNorm) -> PositiveScanReport:
         mat = sp.matrix()
         if not is_lp_isometry(mat, norm):
             raise ArithmeticError("signed permutation failed the isometry check")
-        if all(x >= 0 for row in mat._data for x in row):
+        if (mat.numerators >= 0).all():
             positive.append(sp)
     perm_set = {sp.perm for sp in all_permutations(d)}
     matches = (len(positive) == len(perm_set)

@@ -48,12 +48,10 @@ class SignedPermutation:
 
     def matrix(self, mode: str = EXACT) -> OperatorMatrix:
         d = self.dim
-        rows = [[0] * d for _ in range(d)]
-        for j in range(d):
-            rows[self.perm[j]][j] = int(self.signs[j])
-        # __post_init__ has checked the signs, so the rows need no re-validation
-        m = OperatorMatrix._from_exact_rows(rows)
-        return m.to_float() if mode == FLOAT64 else m
+        data = np.zeros((d, d), dtype=float if mode == FLOAT64 else object)
+        for j, (i, sign) in enumerate(zip(self.perm, self.signs)):
+            data[i, j] = int(sign)
+        return OperatorMatrix.from_numerators(data)
 
 
 def all_permutations(d: int, cap: int = _SIGNED_PERM_CAP) -> list[SignedPermutation]:
@@ -76,21 +74,14 @@ def all_signed_permutations(d: int, cap: int = _SIGNED_PERM_CAP) -> list[SignedP
 
 
 def _is_signed_perm_pattern(T: OperatorMatrix, tol) -> bool:
-    """One entry of magnitude 1 (within tol) per row and column, the rest 0."""
-    d = T.rows
-    col_hits = [0] * d
-    for i in range(d):
-        row_hits = 0
-        for j in range(d):
-            x = abs(T[i, j])
-            if x > tol:
-                if abs(x - 1) > tol:
-                    return False
-                row_hits += 1
-                col_hits[j] += 1
-        if row_hits != 1:
-            return False
-    return all(c == 1 for c in col_hits)
+    """One entry of magnitude 1 (within tol) per row and column, the rest 0.
+
+    Entries are numerators over T's denominator, so tol scales with it.
+    """
+    mag, den = np.abs(T.numerators), T.denominator
+    hits = mag > tol * den
+    return bool((~hits | (np.abs(mag - den) <= tol * den)).all()
+                and (hits.sum(axis=0) == 1).all() and (hits.sum(axis=1) == 1).all())
 
 
 def is_lp_isometry(T: OperatorMatrix, norm: PNorm, tol: float = _ISO_TOL) -> bool:

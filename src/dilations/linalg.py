@@ -1,11 +1,15 @@
-"""Matrix and norm arithmetic over two scalar modes.
+"""Matrix and norm arithmetic over two scalar modes, in one representation.
 
-Everything downstream runs on :class:`OperatorMatrix`, which carries its
-entries either in ``exact`` mode (Python ints and ``fractions.Fraction``,
-closed under sums, products and rational scalings, never rounded) or in
-``float64`` mode (a numpy array).  The exact mode is what makes
-zero-tolerance certification of the dilation identities possible; the float
-mode serves the Hilbert-space pipeline where square roots are unavoidable.
+Everything downstream runs on :class:`OperatorMatrix`: a 2-d numpy array of
+numerators over one positive integer denominator.  In ``float64`` mode the
+array holds the entries and the denominator is 1.  In ``exact`` mode it
+holds Python ints (``dtype=object``) over a common denominator, so sums,
+products and rational scalings stay exact and never overflow, and
+``fractions.Fraction`` values are built only where single entries are read
+out.  The exact mode is what makes zero-tolerance certification of the
+dilation identities possible; the float mode serves the Hilbert-space
+pipeline where square roots are unavoidable.  Both run the same array code:
+with denominator 1 every float formula is the plain numpy one.
 
 Modes never mix silently: combining an exact matrix with a float one raises
 :class:`ModeError`.
@@ -13,6 +17,7 @@ Modes never mix silently: combining an exact matrix with a float one raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -114,23 +119,25 @@ def _detect_mode(rows) -> str:
 
 
 class OperatorMatrix:
-    """A dense rows x cols matrix in one scalar mode.
+    """A dense rows x cols matrix: a numpy array of numerators over one denominator.
 
-    Exact mode stores a list of row lists with int/Fraction entries; float64
-    mode stores a numpy array.  All arithmetic preserves the mode and raises
-    ModeError across modes.
+    Float64 mode holds the entries as a float64 array over denominator 1.
+    Exact mode holds integer numerators as Python ints (``dtype=object``,
+    so nothing overflows) over one positive common denominator, which need
+    not be the least.  Every operation therefore has one body for both
+    modes: a product multiplies the arrays and the denominators, a sum
+    brings both to the lcm of the denominators, and equality
+    cross-multiplies.  Operands of different modes raise ModeError.
     """
 
-    __slots__ = ("rows", "cols", "mode", "_data")
+    __slots__ = ("rows", "cols", "mode", "_data", "_den")
 
     def __init__(self, data, mode: str | None = None):
         if isinstance(data, np.ndarray):
             arr = np.asarray(data, dtype=float)
             if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
                 raise ValueError("need a non-empty 2-d array")
-            self.rows, self.cols = int(arr.shape[0]), int(arr.shape[1])
-            self.mode = FLOAT64
-            self._data = arr
+            self._set(arr, 1)
             return
         rows = [list(r) for r in data]
         if not rows or not rows[0]:
@@ -142,42 +149,66 @@ class OperatorMatrix:
         # exact literals may be coerced into float mode, never the reverse
         if mode not in (None, detected, FLOAT64):
             raise ModeError(f"requested mode {mode} but entries are {detected}")
-        self.rows, self.cols = len(rows), ncol
-        self.mode = mode or detected
-        if self.mode == FLOAT64:
-            self._data = np.array([[float(x) for x in r] for r in rows], dtype=float)
-        else:
-            self._data = rows
+        if (mode or detected) == FLOAT64:
+            self._set(np.array([[float(x) for x in r] for r in rows], dtype=float), 1)
+            return
+        den = math.lcm(*(x.denominator for r in rows for x in r))
+        self._set(np.array([[x.numerator * (den // x.denominator) for x in r] for r in rows],
+                           dtype=object), den)
+
+    def _set(self, data: np.ndarray, den: int):
+        self._data, self._den = data, den
+        self.rows, self.cols = data.shape
+        self.mode = EXACT if data.dtype == object else FLOAT64
 
     @classmethod
-    def _from_exact_rows(cls, rows: list[list]) -> "OperatorMatrix":
-        """Internal fast path: rows are already validated exact lists."""
+    def _of(cls, data: np.ndarray, den: int) -> "OperatorMatrix":
+        """Internal fast path: data is float64 over 1, or Python ints over den."""
         m = object.__new__(cls)
-        m.rows = len(rows)
-        m.cols = len(rows[0])
-        m.mode = EXACT
-        m._data = rows
+        m._set(data, den)
         return m
 
     @classmethod
+    def from_numerators(cls, nums: np.ndarray, den: int = 1) -> "OperatorMatrix":
+        """The matrix nums / den: a float64 array over 1, or integer numerators over den > 0."""
+        if nums.dtype.kind in "iu":
+            nums = nums.astype(object)
+        if nums.ndim != 2 or not (nums.dtype == object and den >= 1
+                                  or nums.dtype == np.float64 and den == 1):
+            raise ValueError("need a 2-d float64 array over 1, or integers over a positive "
+                             "denominator")
+        return cls._of(nums, den)
+
+    @classmethod
     def identity(cls, n: int, mode: str = EXACT) -> "OperatorMatrix":
-        if mode == FLOAT64:
-            return cls(np.eye(n))
-        return cls._from_exact_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        data = _zeros((n, n), mode)
+        np.fill_diagonal(data, 1)
+        return cls._of(data, 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, mode: str = EXACT) -> "OperatorMatrix":
-        if mode == FLOAT64:
-            return cls(np.zeros((rows, cols)))
-        return cls._from_exact_rows([[0] * cols for _ in range(rows)])
+        return cls._of(_zeros((rows, cols), mode), 1)
 
     # -- access -----------------------------------------------------------
 
+    @property
+    def numerators(self) -> np.ndarray:
+        """The numerator array, float64 or Python ints; shared, so never modify it."""
+        return self._data
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    def _entry(self, x):
+        """One numerator as an entry: a float, or an int or Fraction over the denominator."""
+        if self.mode == FLOAT64:
+            return float(x)
+        return x if self._den == 1 else Fraction(x, self._den)
+
     def __getitem__(self, ij) -> Fraction | int | float:
         i, j = ij
-        if self.mode == FLOAT64:
-            return float(self._data[i, j])
-        return self._data[i][j]
+        return self._entry(self._data[i, j])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -188,17 +219,19 @@ class OperatorMatrix:
         return self.rows == self.cols
 
     def row_entries(self, i: int):
-        if self.mode == FLOAT64:
-            return [float(x) for x in self._data[i]]
-        return list(self._data[i])
+        return [self._entry(x) for x in self._data[i].tolist()]
+
+    def entries(self) -> list[list]:
+        """Every row's entries, read from the array at once."""
+        rows, den = self._data.tolist(), self._den
+        return rows if den == 1 else [[Fraction(x, den) for x in row] for row in rows]
 
     def to_ndarray(self) -> np.ndarray:
-        if self.mode == FLOAT64:
-            return self._data.copy()
-        return np.array([[float(x) for x in r] for r in self._data], dtype=float)
+        """The entries as float64, each correctly rounded (Python int true division)."""
+        return (self._data if self._den == 1 else self._data / self._den).astype(float)
 
     def to_float(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.to_ndarray())
+        return OperatorMatrix._of(self.to_ndarray(), 1)
 
     def __repr__(self) -> str:
         return f"OperatorMatrix({self.rows}x{self.cols}, {self.mode})"
@@ -213,28 +246,14 @@ class OperatorMatrix:
         self._check_mode(other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        if self.mode == FLOAT64:
-            return OperatorMatrix(self._data @ other._data)
-        out = [[0] * other.cols for _ in range(self.rows)]
-        bdata = other._data
-        for i, arow in enumerate(self._data):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if aik:
-                    for j, bkj in enumerate(bdata[k]):
-                        if bkj:
-                            orow[j] = orow[j] + aik * bkj
-        return OperatorMatrix._from_exact_rows(out)
+        return OperatorMatrix._of(self._data @ other._data, self._den * other._den)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check_mode(other)
         if self.shape != other.shape:
             raise ValueError(f"dimension mismatch: {self.shape} + {other.shape}")
-        if self.mode == FLOAT64:
-            return OperatorMatrix(self._data + other._data)
-        return OperatorMatrix._from_exact_rows(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
-        )
+        a, b, den = _over_lcm(self, other)
+        return OperatorMatrix._of(a + b, den)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self + other.scale(-1)
@@ -244,15 +263,13 @@ class OperatorMatrix:
 
     def scale(self, c) -> "OperatorMatrix":
         if self.mode == FLOAT64:
-            return OperatorMatrix(self._data * float(c))
+            return OperatorMatrix._of(self._data * float(c), 1)
         if not is_exact_scalar(c):
             raise ModeError("exact matrices only scale by exact rationals")
-        return OperatorMatrix._from_exact_rows([[c * x for x in r] for r in self._data])
+        return OperatorMatrix._of(_times(self._data, c.numerator), self._den * c.denominator)
 
     def transpose(self) -> "OperatorMatrix":
-        if self.mode == FLOAT64:
-            return OperatorMatrix(self._data.T.copy())
-        return OperatorMatrix._from_exact_rows([list(col) for col in zip(*self._data)])
+        return OperatorMatrix._of(self._data.T.copy(), self._den)
 
     def power(self, n: int) -> "OperatorMatrix":
         if not self.is_square:
@@ -271,38 +288,43 @@ class OperatorMatrix:
             return NotImplemented
         if self.mode != other.mode or self.shape != other.shape:
             return False
-        if self.mode == FLOAT64:
-            return bool(np.array_equal(self._data, other._data))
-        return all(ra == rb for ra, rb in zip(self._data, other._data))
+        # the shapes agree, so comparing the nested lists compares entrywise
+        return _times(self._data, other._den).tolist() == _times(other._data, self._den).tolist()
 
     __hash__ = None  # mutable payload; not hashable
 
     def one_norm(self):
         """Maximum absolute column sum (the l1 -> l1 operator norm)."""
-        if self.mode == FLOAT64:
-            return float(np.max(np.sum(np.abs(self._data), axis=0)))
-        sums = [sum(abs(r[j]) for r in self._data) for j in range(self.cols)]
-        return max(sums)
+        return self._entry(np.max(np.sum(np.abs(self._data), axis=0)))
+
+
+def _zeros(shape: tuple[int, int], mode: str) -> np.ndarray:
+    return np.zeros(shape, dtype=float if mode == FLOAT64 else object)
+
+
+def _times(nums: np.ndarray, k: int) -> np.ndarray:
+    return nums if k == 1 else nums * k
+
+
+def _over_lcm(a: OperatorMatrix, b: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """a's and b's numerators over the lcm of their denominators, and that lcm."""
+    den = math.lcm(a._den, b._den)
+    return _times(a._data, den // a._den), _times(b._data, den // b._den), den
 
 
 def operator_residual(a: OperatorMatrix, b: OperatorMatrix) -> float:
     """Largest absolute entry of a - b, as a float64 in either mode.
 
-    Exact mode returns 0.0 exactly when the matrices agree entrywise.
-    Comparing across modes is a ModeError, never a tolerance question.
+    Exact mode returns 0.0 exactly when the matrices agree entrywise, and
+    otherwise the correctly rounded exact maximum.  Comparing across modes
+    is a ModeError, never a tolerance question.
     """
     if a.mode != b.mode:
         raise ModeError(f"mode mismatch: {a.mode} vs {b.mode}")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.mode == FLOAT64:
-        return float(np.max(np.abs(a._data - b._data)))
-    worst = 0.0
-    for ra, rb in zip(a._data, b._data):
-        for x, y in zip(ra, rb):
-            if x != y:
-                worst = max(worst, abs(float(x - y)))
-    return worst
+    x, y, den = _over_lcm(a, b)
+    return float(np.max(np.abs(x - y)) / den)
 
 
 def lp_norm(vector: Sequence, norm: PNorm) -> float:
@@ -336,7 +358,7 @@ def lp_norm_pow_p(vector: Sequence, norm: PNorm) -> Fraction:
 
 
 def block_diag(blocks: Sequence[OperatorMatrix]) -> OperatorMatrix:
-    """Direct sum of square blocks, all in one mode."""
+    """Direct sum of square blocks, all in one mode, over the lcm of their denominators."""
     blocks = list(blocks)
     if not blocks:
         raise ValueError("block_diag of an empty sequence")
@@ -346,21 +368,14 @@ def block_diag(blocks: Sequence[OperatorMatrix]) -> OperatorMatrix:
             raise ModeError("block_diag blocks must share one mode")
         if not b.is_square:
             raise ValueError("block_diag blocks must be square")
+    den = math.lcm(*(b.denominator for b in blocks))
     dim = sum(b.rows for b in blocks)
-    if mode == FLOAT64:
-        out = np.zeros((dim, dim))
-        at = 0
-        for b in blocks:
-            out[at:at + b.rows, at:at + b.rows] = b._data
-            at += b.rows
-        return OperatorMatrix(out)
-    rows = [[0] * dim for _ in range(dim)]
+    out = _zeros((dim, dim), mode)
     at = 0
     for b in blocks:
-        for i, r in enumerate(b._data):
-            rows[at + i][at:at + b.cols] = list(r)
+        out[at:at + b.rows, at:at + b.rows] = _times(b.numerators, den // b.denominator)
         at += b.rows
-    return OperatorMatrix._from_exact_rows(rows)
+    return OperatorMatrix._of(out, den)
 
 
 def sym_eig(matrix: OperatorMatrix) -> tuple[list[float], OperatorMatrix]:

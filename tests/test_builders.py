@@ -725,7 +725,7 @@ def test_n_dilation_u_is_one_sub_block_per_row():
     # the slot-0 layout: one sub-block per alpha, the isometry of its slot 0
     assert u.stack.shape == (2 ** N, d, d) and (u.count, u.copies) == (8, N)
     rows = np.arange(2 ** N)
-    assert u.stack.tolist() == [combo.isometries[r >> 2]._data for r in range(8)]
+    assert u.stack.tolist() == [combo.isometries[r >> 2].entries() for r in range(8)]
     # perm is tau, the rotation by one slot: slot k of tau(alpha) is slot k+1
     assert u.perm.tolist() == u.tau.tolist() == (rows % 4 * 2 + rows // 4).tolist()
     assert u.shift == 1
@@ -1004,6 +1004,22 @@ def test_weight_classes_must_be_rotation_invariant():
     assert compressed_power(ok, 2) == combo.operator().power(2)
 
 
+def test_swapped_exponents_are_refused():
+    # T = (1/3) I + (2/3) R at p = 3, N = 4: with J's and Q's exponents
+    # swapped Q U^n J still equals T^n, but J is no isometry
+    R = OperatorMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    combo = ConvexCombination((OperatorMatrix.identity(3), R), (F(1, 3), F(2, 3)))
+    triple = build_n_dilation(combo, 4, P3)
+    j, q = triple.J, triple.Q
+    swapped = [ScaledBlockMap(m.orientation, m.class_bases, e, m.copies, m.dim, EXACT, m.classes)
+               for m, e in ((j, q.exponent), (q, j.exponent))]
+    with pytest.raises(ValueError, match="not 1/p and 1/q"):
+        builders.DilationTriple(triple.space, *swapped, triple.U_family, 4, EXACT)
+    with pytest.raises(ValueError, match="not 1/p and 1/q"):
+        builders.DilationTriple(builders.SpaceDescriptor(triple.space.dim, PNorm(F(4)), ""),
+                                j, q, triple.U_family, 4, EXACT)
+
+
 def test_negative_powers_are_refused():
     triple = build_n_dilation(_combo((F(1, 3), F(2, 3))), 2, P3)
     with pytest.raises(ValueError, match="negative"):
@@ -1030,12 +1046,13 @@ def test_target_past_int64_is_promoted():
     # weights over 45 at N = 12: the target T^12 has denominator 45^12 > 2^63
     combo = _combo((F(7, 45), F(38, 45)), (SWAP, NEG))
     T = combo.operator()
-    target = builders._exact_target(T)
-    acc = target
-    for _ in range(11):
-        acc = builders._target_product(acc, target)
-    assert acc[0].dtype == object and acc[1] == 45 ** 12 > 2 ** 63
-    assert OperatorMatrix(acc[0].tolist()).scale(F(1, acc[1])) == T.power(12)
+    power = T.power(12)
+    assert power.numerators.dtype == object and power.denominator == 45 ** 12 > 2 ** 63
+    want, t = [[F(int(i == j)) for j in range(2)] for i in range(2)], T.entries()
+    for _ in range(12):
+        want = [[sum(want[i][k] * t[k][j] for k in range(2)) for j in range(2)]
+                for i in range(2)]
+    assert power.entries() == want
     triple = build_n_dilation(combo, 12, P3)
     report = verify_dilation(triple, {"T": T}, 12)
     assert report.passed and report.max_residual == 0.0 and len(report.checks) == 13

@@ -558,6 +558,12 @@ _FLOAT_SWAP = _mat([[0.0, 1.0], [1.0, 0.0]])
                "weights": ["1/2", "1/2"]},
          "B": {"isometries": [_mat([[-1.0, 0], [0, 1]]), _FLOAT_SWAP],
                "weights": ["1/3", "2/3"]}}}, "float64", [_MIXED]),
+    (["simultaneous", "--N", "2"],
+     {"p": "3", "members": {
+         "A": {"isometries": [_mat([[1, 0], [0, 1]]), _mat([[0, 1], [1, 0]])],
+               "weights": ["1/2", "1/2"]},
+         "B": {"isometries": [_mat([[-1.0, 0.0], [0.0, 1.0]]), _FLOAT_SWAP],
+               "weights": ["1/3", "2/3"]}}}, "float64", [_MIXED]),
     (["zero-augment", "--N", "2"],
      {"p": "3", "members": {"A": _mat([[0, 1.0], [1, 0]]), "B": _mat([[-1, 0], [0, 1]])}},
      "float64", [_MIXED]),
@@ -569,8 +575,8 @@ _FLOAT_SWAP = _mat([[0.0, 1.0], [1.0, 0.0]])
     (["oracle", "--N", "2"], _mat([["1/2", 0.1], [0, "3/5"]]), "float64",
      [_MATRIX_MIXED]),
 ], ids=["build-mixed", "verify-mixed", "build-float-and-exact", "verify-all-float",
-        "simultaneous-mixed", "zero-augment-mixed", "shift-mixed", "decompose-mixed",
-        "hull-check-mixed", "oracle-mixed"])
+        "simultaneous-mixed", "simultaneous-exact-and-float", "zero-augment-mixed",
+        "shift-mixed", "decompose-mixed", "hull-check-mixed", "oracle-mixed"])
 def test_report_mode_and_warnings(argv, payload, mode, warnings, tmp_path, capsys):
     flag = {"build": "--combo", "verify": "--combo", "simultaneous": "--family",
             "zero-augment": "--family"}.get(argv[0], "--matrix")

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilations.hull import (CONVEX, GENERATOR_CAP, SUBCONVEX,
-                            _candidate_vectors, _evaluate, _search_pair, default_generators, hull_membership,
+                            _candidate_vectors, _search_pair, default_generators, hull_membership,
                             permutation_generators, positive_isometry_scan,
                             signed_permutation_generators, snap_matrix,
                             snap_to_rational)
@@ -392,6 +392,14 @@ def test_integer_simplex_known_points():
     assert not infeasible.feasible and infeasible.objective == 1
     big = solve_equalities([[F(1, _BIG), F(2, 3 ** 41)]], [F(1, 2 ** 70)])
     assert big.feasible and big.solution == (F(_BIG, 2 ** 70), F(0))
+
+
+def _evaluate(u, g, v):
+    """<u, g v> by a loop over Fraction entries."""
+    total = F(0)
+    for i, row in enumerate(g.entries()):
+        total += u[i] * sum((F(x) * v[j] for j, x in enumerate(row)), F(0))
+    return total
 
 
 def _reference_search_pair(T, generators, mode):

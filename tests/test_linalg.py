@@ -169,6 +169,18 @@ def test_matmul_associative_exact(ms):
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
 
 
+def test_from_numerators():
+    m = OperatorMatrix.from_numerators(np.array([[1, 2], [3, 6]]), 6)
+    assert m.mode == EXACT and m.denominator == 6
+    assert m.entries() == [[F(1, 6), F(1, 3)], [F(1, 2), 1]]
+    assert m == OperatorMatrix([[F(1, 6), F(1, 3)], [F(1, 2), 1]])
+    assert OperatorMatrix.from_numerators(np.eye(2)) == OperatorMatrix.identity(2, FLOAT64)
+    for bad in ((np.eye(2), 2), (np.array([[1]]), 0), (np.array([1, 2]), 1),
+                (np.array([[True]]), 1)):
+        with pytest.raises(ValueError):
+            OperatorMatrix.from_numerators(*bad)
+
+
 def test_as_fraction_parsing():
     assert as_fraction("2/3") == F(2, 3)
     assert as_fraction(5) == 5
@@ -176,3 +188,114 @@ def test_as_fraction_parsing():
         as_fraction(0.5)
     with pytest.raises(ModeError):
         as_fraction(True)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the list-of-Fraction exact arithmetic OperatorMatrix used to run
+
+
+class _FractionRows:
+    """Exact matrices as lists of int/Fraction rows, with the former exact
+    OperatorMatrix formulas; a reference for the numerator representation."""
+
+    def __init__(self, rows):
+        self.rows = [list(r) for r in rows]
+
+    def __matmul__(self, other):
+        out = [[0] * len(other.rows[0]) for _ in self.rows]
+        for i, arow in enumerate(self.rows):
+            for k, aik in enumerate(arow):
+                if aik:
+                    for j, bkj in enumerate(other.rows[k]):
+                        if bkj:
+                            out[i][j] = out[i][j] + aik * bkj
+        return _FractionRows(out)
+
+    def __add__(self, other):
+        return _FractionRows([[a + b for a, b in zip(ra, rb)]
+                              for ra, rb in zip(self.rows, other.rows)])
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return _FractionRows([[c * x for x in r] for r in self.rows])
+
+    def transpose(self):
+        return _FractionRows([list(col) for col in zip(*self.rows)])
+
+    def power(self, n):
+        d = len(self.rows)
+        acc = _FractionRows([[1 if i == j else 0 for j in range(d)] for i in range(d)])
+        for _ in range(n):
+            acc = acc @ self
+        return acc
+
+    def __eq__(self, other):
+        return all(ra == rb for ra, rb in zip(self.rows, other.rows))
+
+    def one_norm(self):
+        return max(sum(abs(r[j]) for r in self.rows) for j in range(len(self.rows[0])))
+
+    def to_ndarray(self):
+        return np.array([[float(x) for x in r] for r in self.rows], dtype=float)
+
+    def residual(self, other):
+        worst = 0.0
+        for ra, rb in zip(self.rows, other.rows):
+            for x, y in zip(ra, rb):
+                if x != y:
+                    worst = max(worst, abs(float(x - y)))
+        return worst
+
+
+# numerators up to 2^70 over small denominators and over ones past 2^63
+_rational = st.builds(F, st.integers(-2 ** 70, 2 ** 70),
+                      st.one_of(st.integers(1, 12), st.integers(2 ** 63, 2 ** 80)))
+
+
+def _rational_rows(n):
+    return st.lists(st.lists(_rational, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _same(got: OperatorMatrix, want: _FractionRows) -> bool:
+    """Equal entries, and the float conversion equal bit for bit."""
+    return (got.entries() == want.rows and got == OperatorMatrix(want.rows)
+            and got.to_ndarray().tobytes() == want.to_ndarray().tobytes())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_rational_rows(n), _rational_rows(n))),
+       _rational, st.integers(0, 3))
+def test_exact_arithmetic_matches_fraction_rows(rows, c, k):
+    (ra, rb), (a, b) = map(_FractionRows, rows), map(OperatorMatrix, rows)
+    assert _same(a, ra) and _same(b, rb)
+    assert _same(a @ b, ra @ rb)
+    assert _same(a + b, ra + rb)
+    assert _same(a - b, ra - rb)
+    assert _same(a.scale(c), ra.scale(c))
+    assert _same(a.transpose(), ra.transpose())
+    assert _same(a.power(k), ra.power(k))
+    assert (a == b) == (ra == rb)
+    # a denominator that is not the least one changes no comparison
+    assert a.scale(F(1, 7)).scale(7) == a and (a.scale(F(1, 7)).scale(7) == b) == (ra == rb)
+    assert a.one_norm() == ra.one_norm()
+    assert operator_residual(a, b) == ra.residual(rb)
+    assert operator_residual(a @ b, b @ a) == (ra @ rb).residual(rb @ ra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 1000), st.floats(-3, 3))
+def test_float_arithmetic_is_plain_numpy(n, seed, c):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    a, b = OperatorMatrix(x), OperatorMatrix(y)
+    for got, want in ((a @ b, x @ y), (a + b, x + y), (a - b, x + y * -1.0),
+                      (a.scale(c), x * c), (a.transpose(), x.T),
+                      (a.power(3), np.eye(n) @ x @ x @ x),
+                      (block_diag([a, b]), np.block([[x, np.zeros((n, n))],
+                                                     [np.zeros((n, n)), y]]))):
+        assert got.denominator == 1 and got.to_ndarray().tobytes() == want.tobytes()
+    assert a.one_norm() == float(np.max(np.sum(np.abs(x), axis=0)))
+    assert operator_residual(a, b) == float(np.max(np.abs(x - y)))
+    assert a.row_entries(0) == x[0].tolist() and a[0, 0] == float(x[0, 0])
