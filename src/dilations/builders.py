@@ -15,13 +15,16 @@ Because the two exponents sum to 1 exactly, the composition Q U^n J only
 ever multiplies a rational base by rational matrix entries, so the whole
 verification runs in exact arithmetic with zero tolerance.
 
-Exact matrices are integer numerators over one denominator, in
+:class:`DilationTriple` checks once that J, Q and every U fit together;
+after that a compression validates nothing.  Every word product, of U and
+of the targets, comes from one prefix walk, multiplied left to right, and a
+compression is one dot of per-block coefficients with U_w's stack in both
+modes.  Exact matrices are integer numerators over one denominator, in
 :class:`OperatorMatrix` as in the block kernel.  Only
 :class:`BlockDiagonalOperator`, where the volume is, keeps its numerators
 in int64 while a bound proves that safe: ``_integer_stack`` brings
 matrices in, and a compression hands its numerators back as Python ints.
-Word targets are plain ``OperatorMatrix`` products, so an exact word is
-decided by one ``==`` and a float word by its residual.
+An exact word is decided by one ``==`` and a float word by its residual.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ INFINITE_GUARANTEE = math.inf
 WORD_CAP = 10_000
 WORD_LABEL_CAP = 100 * WORD_CAP   # labels in all of a word set's words: WORD_CAP of length 100
 STACK_BYTES_CAP = 64 * 2 ** 20    # a builder's U stacks, at 8 bytes per entry
-GATHER_BYTES_CAP = 64 * 2 ** 20   # the N slot sub-blocks of one block, which a compression sums
+GATHER_BYTES_CAP = 64 * 2 ** 20   # N sub-blocks of 8-byte entries: bounds the N-long slot arrays
 
 _L1_CONTRACTION_TOL = 1e-12
 
@@ -168,7 +171,11 @@ class ScaledBlockMap:
         return tuple(self.class_bases[c] for c in self.classes.tolist())
 
     def scales(self) -> np.ndarray:
-        """base**exponent per block, evaluated once per class and map (read-only)."""
+        """base**exponent per block as floats, for :meth:`to_matrix` (cached, read-only).
+
+        A compression never needs them: the exponents of J and Q cancel, so
+        it weights each block by its base, from ``_coefficients``.
+        """
         return self._scales
 
     @cached_property
@@ -179,13 +186,17 @@ class ScaledBlockMap:
         return out
 
     @cached_property
-    def _numerators(self) -> tuple[int, np.ndarray, int]:
-        """The bases as integers over one denominator: (D, per-block numerators, their sum).
+    def _coefficients(self) -> tuple[int, np.ndarray, int | None]:
+        """Each block's base as (D, per-block coefficients, bound); the compression's weights.
 
-        The per-block array is int64 when every numerator fits, else Python
-        ints; the sum bounds any integer combination of them with entries of
-        absolute value at most 1.
+        In float mode the coefficients are the bases as floats over D = 1,
+        with no bound.  In exact mode they are integer numerators over one
+        denominator D, int64 when every numerator fits, else Python ints;
+        the bound, their sum, bounds any integer combination of them with
+        entries of absolute value at most 1.
         """
+        if self.mode == FLOAT64:
+            return 1, np.array([float(b) for b in self.class_bases])[self.classes], None
         den = math.lcm(*(b.denominator for b in self.class_bases))
         nums = [b.numerator * (den // b.denominator) for b in self.class_bases]
         counts = np.bincount(self.classes, minlength=len(nums)).tolist()
@@ -263,8 +274,8 @@ class BlockDiagonalOperator:
 
     - the N-dilation builders: tau is the slot rotation of the alphas,
       copies = N and shift = 1;
-    - :meth:`from_blocks` and the float constructor: tau is the identity
-      and copies = 1, the plain block-diagonal operator of the stack;
+    - :meth:`from_blocks`: tau is the identity and copies = 1, the plain
+      block-diagonal operator of the stack;
     - ``zero_augment``'s members, and ``shift_dilation``'s U: one outer
       block, one sub-block placed ``shift`` block columns to the right.
 
@@ -284,26 +295,11 @@ class BlockDiagonalOperator:
     __slots__ = ("mode", "count", "copies", "stack", "perm", "denominator", "bound",
                  "tau", "shift")
 
-    def __init__(self, stack):
-        """The float block-diagonal operator of `stack`; see :meth:`from_blocks` for exact."""
-        arr = np.asarray(stack, dtype=float)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError("stack must be (sub-blocks, size, size)")
-        tau = np.arange(len(arr))
-        self._set(FLOAT64, arr, tau, 1, 0, tau, 1, None)
-
-    def _set(self, mode, stack, tau, copies, shift, perm, denominator, bound):
+    def __init__(self, mode, stack, tau, copies, shift, perm, denominator, bound):
+        """Internal: the arrays already follow the class invariants; see :meth:`from_blocks`."""
         self.mode, self.stack, self.count = mode, stack, len(stack)
         self.tau, self.copies, self.shift, self.perm = tau, copies, shift, perm
         self.denominator, self.bound = denominator, bound
-
-    @classmethod
-    def _of(cls, mode, stack, tau, copies, shift, perm, denominator,
-            bound) -> "BlockDiagonalOperator":
-        """Internal fast path: the arrays already follow the class invariants."""
-        op = object.__new__(cls)
-        op._set(mode, stack, tau, copies, shift, perm, denominator, bound)
-        return op
 
     @classmethod
     def from_blocks(cls, blocks) -> "BlockDiagonalOperator":
@@ -326,9 +322,8 @@ class BlockDiagonalOperator:
         n, s = self.stack.shape[:2]
         dtype = float if self.mode == FLOAT64 else np.int64
         stack = np.broadcast_to(np.eye(s, dtype=dtype), (n, s, s)).copy()
-        return BlockDiagonalOperator._of(self.mode, stack, self.tau, self.copies, 0,
-                                         np.arange(n), 1,
-                                         None if self.mode == FLOAT64 else 1)
+        return BlockDiagonalOperator(self.mode, stack, self.tau, self.copies, 0,
+                                     np.arange(n), 1, None if self.mode == FLOAT64 else 1)
 
     @property
     def size(self) -> int:
@@ -339,11 +334,10 @@ class BlockDiagonalOperator:
     def dim(self) -> int:
         return self.count * self.size
 
-    def _orbits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Stack rows of blocks start..stop: [a, k] = tau^k a feeds block row k of block a."""
-        first = np.arange(start, self.count if stop is None else min(stop, self.count))
-        rows = np.empty((len(first), self.copies), dtype=np.intp)
-        rows[:, 0] = first
+    def _orbits(self) -> np.ndarray:
+        """Stack rows: [a, k] = tau^k a feeds block row k of block a."""
+        rows = np.empty((self.count, self.copies), dtype=np.intp)
+        rows[:, 0] = np.arange(self.count)
         for k in range(1, self.copies):
             rows[:, k] = self.tau[rows[:, k - 1]]
         return rows
@@ -367,7 +361,7 @@ class BlockDiagonalOperator:
                 or (self.tau is not other.tau and not np.array_equal(self.tau, other.tau))):
             raise ValueError("block partitions differ")
         bound = None if self.mode == FLOAT64 else self.bound * other.bound
-        return BlockDiagonalOperator._of(
+        return BlockDiagonalOperator(
             self.mode, _gathered_matmul(self.stack, other.stack, self.perm, bound),
             self.tau, self.copies, (self.shift + other.shift) % self.copies,
             other.perm[self.perm], self.denominator * other.denominator, bound)
@@ -415,29 +409,51 @@ class DilationTriple:
     Q: ScaledBlockMap | FirstBlockMap
     U_family: dict[str, BlockDiagonalOperator]
     n_guarantee: int | float
-    mode: str
 
     def __post_init__(self):
-        # J and Q split each block's base as base^(1/p) and base^(1/q), so J
-        # is an isometry and the exponents cancel in Q U_w J; the mass J
-        # carries is not checked, as a part of build_n_dilation_parts holds
-        # only some of it
-        if isinstance(self.J, ScaledBlockMap) or isinstance(self.Q, ScaledBlockMap):
+        # everything a compression relies on is a property of the triple,
+        # checked here once, so _compress checks nothing per word
+        j, q, us = self.J, self.Q, list(self.U_family.values())
+        if not us:
+            raise ValueError("need at least one operator")
+        modes = {x.mode for x in (j, q, *us)}
+        if len(modes) > 1:
+            raise ModeError(f"J, Q and every U must share one mode, got {sorted(modes)}")
+        if type(j) is not type(q) or (j.orientation, q.orientation) != ("embed", "readout"):
+            raise ValueError("J and Q must be an embed and a read-out map of one kind")
+        if isinstance(j, FirstBlockMap):
+            if (q.blocks, q.dim) != (j.blocks, j.dim):
+                raise ValueError("J and Q first-block maps do not match")
+            layout = (1, j.blocks, j.dim)
+        else:
+            if ((q.class_bases, q.copies, q.dim) != (j.class_bases, j.copies, j.dim)
+                    or (q.classes is not j.classes and not np.array_equal(q.classes, j.classes))):
+                raise ValueError("J and Q block scalings do not match")
+            # J and Q split each block's base as base^(1/p) and base^(1/q), so
+            # J is an isometry and the exponents cancel in Q U_w J; the mass J
+            # carries is not checked, as a part of build_n_dilation_parts holds
+            # only some of it
             norm = self.space.norm
-            got = tuple(getattr(m, "exponent", None) for m in (self.J, self.Q))
-            if norm is None or got != (1 / norm.p, 1 / norm.q):
-                raise ValueError(f"J and Q exponents {got[0]} and {got[1]} are not 1/p and "
-                                 f"1/q of the space's norm l^{norm}")
+            if norm is None or (j.exponent, q.exponent) != (1 / norm.p, 1 / norm.q):
+                raise ValueError(f"J and Q exponents {j.exponent} and {q.exponent} are not "
+                                 f"1/p and 1/q of the space's norm l^{norm}")
+            layout = (j.block_count, j.copies, j.dim)
+        for label, u in self.U_family.items():
+            if (u.count, u.copies, u.stack.shape[1]) != layout:
+                raise ValueError(f"U {label!r} has (blocks, copies, sub-block size) "
+                                 f"{(u.count, u.copies, u.stack.shape[1])}, J and Q {layout}")
         # _compress counts the block rows of U as `copies` copies of its
-        # stack, which holds only if tau keeps every block in its weight
-        # class; check that once, here
-        if isinstance(self.J, ScaledBlockMap):
-            taus = {id(u.tau): u.tau for u in self.U_family.values()}
-            for tau in taus.values():
-                if (len(tau) != self.J.block_count
-                        or not np.array_equal(self.J.classes[tau], self.J.classes)):
+        # stack, which holds only if tau keeps every block in its weight class
+        if isinstance(j, ScaledBlockMap):
+            for tau in {id(u.tau): u.tau for u in us}.values():
+                if not np.array_equal(j.classes[tau], j.classes):
                     raise ValueError(
                         "J's weight classes are not invariant under U's slot rotation")
+
+    @property
+    def mode(self) -> str:
+        """The one scalar mode of J, Q and every U."""
+        return next(iter(self.U_family.values())).mode
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -501,7 +517,7 @@ def trivial_dilation(isometries: Mapping[str, OperatorMatrix], p: PNorm) -> Dila
     u_family = {name: BlockDiagonalOperator.from_blocks([t]) for name, t in items}
     return DilationTriple(space, FirstBlockMap("embed", 1, d, mode),
                           FirstBlockMap("readout", 1, d, mode), u_family,
-                          INFINITE_GUARANTEE, mode)
+                          INFINITE_GUARANTEE)
 
 
 def _slot0_operator(mats, first: np.ndarray, tau: np.ndarray, copies: int, shift: int,
@@ -519,7 +535,7 @@ def _slot0_operator(mats, first: np.ndarray, tau: np.ndarray, copies: int, shift
     perm = np.arange(len(tau))
     for _ in range(shift):
         perm = tau[perm]
-    return BlockDiagonalOperator._of(mode, mats[first], tau, copies, shift, perm, den, bound)
+    return BlockDiagonalOperator(mode, mats[first], tau, copies, shift, perm, den, bound)
 
 
 def _rows_under_cap(d: int, stacks: int = 1) -> int:
@@ -574,9 +590,8 @@ def _scaled_maps(bases, classes, N: int, d: int, p: PNorm, mode: str):
 def _validated_combo(combo: ConvexCombination, N: int, p: PNorm) -> ConvexCombination:
     if N < 1:
         raise ValueError("N must be at least 1")
-    # a compression gathers a block's N slot sub-blocks, even when m = 1 makes one
-    # block; STACK_BYTES_CAP also sizes build_n_dilation_parts' parts, where one
-    # orbit may outgrow a part, so this bound has a cap of its own
+    # with m = 1, m^N is one row whatever N is, so STACK_BYTES_CAP never binds,
+    # but the slot arrays of a build are N long: GATHER_BYTES_CAP bounds N
     if N * combo.dim ** 2 * 8 > GATHER_BYTES_CAP:
         raise ValueError(f"dilation too large: N={N} sub-blocks of size {combo.dim} are over "
                          f"the cap of {GATHER_BYTES_CAP} bytes")
@@ -604,7 +619,7 @@ def _n_dilation(combo: ConvexCombination, N: int, p: PNorm, label: str,
         turned = np.searchsorted(rows, turned)
     space = SpaceDescriptor(N * len(rows) * d, p, structure)
     u = _slot0_operator(combo.isometries, rows // m ** (N - 1), turned, N, 1 % N, mode)
-    return DilationTriple(space, j, q, {label: u}, N, mode)
+    return DilationTriple(space, j, q, {label: u}, N)
 
 
 def build_n_dilation(combo: ConvexCombination, N: int, p: PNorm,
@@ -701,7 +716,7 @@ def build_simultaneous_n_dilation(family: Mapping[str, ConvexCombination],
     space = SpaceDescriptor(
         dim, p,
         f"shared l^{p} direct sum for {len(members)} members, N={N}, m={m}, dim X={d}")
-    return DilationTriple(space, j, q, u_family, N, mode)
+    return DilationTriple(space, j, q, u_family, N)
 
 
 def rationalize_weights(combo: ConvexCombination, m_cap: int = 64) -> ConvexCombination:
@@ -776,7 +791,7 @@ def zero_augment(u_family: Mapping[str, OperatorMatrix], N: int,
     family_out["0"] = _slot0_operator([OperatorMatrix.identity(s, mode)], one, one, b, 1, mode)
     space = SpaceDescriptor(b * s, p, f"l^{p} stack of {b} copies of Y, dim Y={s}")
     return DilationTriple(space, FirstBlockMap("embed", b, s, mode),
-                          FirstBlockMap("readout", b, s, mode), family_out, N, mode)
+                          FirstBlockMap("readout", b, s, mode), family_out, N)
 
 
 def zero_augment_targets(u_family: Mapping[str, OperatorMatrix]) -> dict[str, OperatorMatrix]:
@@ -815,24 +830,79 @@ def shift_dilation(T: OperatorMatrix, window: int, label: str = "T") -> Dilation
         b * d, None, f"l^1 cyclic window of {b} blocks of dim {d}")
     return DilationTriple(space, FirstBlockMap("embed", b, d, mode),
                           FirstBlockMap("readout", b, d, mode, tuple(powers)),
-                          {label: u}, window, mode)
+                          {label: u}, window)
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def _identity_operator(triple: DilationTriple) -> BlockDiagonalOperator:
-    return next(iter(triple.U_family.values())).identity_like()
+def _prefix_products(triple: DilationTriple, words: Sequence[tuple[str, ...]],
+                     targets: Mapping[str, OperatorMatrix] | None = None) -> Iterator[tuple]:
+    """(word, U_w, T_w) for each distinct word, in sorted order; the one place words multiply.
+
+    In sorted order each word comes right after its prefixes, and each step
+    extends a prefix by one label with one product, left to right.  A stack
+    holds (prefix length, U product, target product) along the current
+    word, and keeps a prefix only at a length where a later word leaves the
+    current one; the others are replaced by their extensions.  The empty
+    word's products are identities, and T_w is None without targets.
+    """
+    identity = (None if targets is None else
+                OperatorMatrix.identity(next(iter(targets.values())).rows, triple.mode))
+    distinct = sorted(set(words))
+    # leaves[j]: the lengths at which a later word leaves distinct[j], the
+    # running minima of the common prefix lengths of neighbours from j on;
+    # none exceeds len(distinct[j]), so all of them are no more than the labels
+    leaves, running = [frozenset()] * len(distinct), []
+    for j in range(len(distinct) - 2, -1, -1):
+        a, b = distinct[j], distinct[j + 1]
+        common = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        while running and running[-1] >= common:
+            running.pop()
+        running.append(common)
+        leaves[j] = frozenset(running)
+    stack: list = []
+    for word, keep in zip(distinct, leaves):
+        # the stack holds prefixes of word, the longest its common prefix with the last word
+        for i in range(stack[-1][0] if stack else 0, len(word)):
+            u, t = triple.U_family[word[i]], None if targets is None else targets[word[i]]
+            if stack:
+                length, pu, pt = stack[-1]
+                u, t = pu @ u, None if targets is None else pt @ t
+                if length not in keep:
+                    stack.pop()
+            stack.append((i + 1, u, t))
+        if word:
+            yield (word, *stack[-1][1:])
+        else:
+            yield word, next(iter(triple.U_family.values())).identity_like(), identity
+        while stack and stack[-1][0] not in keep:
+            stack.pop()
 
 
-def _word_operator(triple: DilationTriple, word: Sequence[str]):
-    if not word:
-        return _identity_operator(triple)
-    acc = triple.U_family[word[0]]
-    for lbl in word[1:]:
-        acc = acc @ triple.U_family[lbl]
-    return acc
+def _compress(triple: DilationTriple, middle: BlockDiagonalOperator) -> OperatorMatrix:
+    """Q U_w J for a product U_w of the triple's U; DilationTriple checked that they fit."""
+    j, q = triple.J, triple.Q
+    if isinstance(j, FirstBlockMap):
+        # J feeds block column 0, and only block row -shift holds its
+        # sub-block, stack[0], there; Q reads that row through reads[row],
+        # or without reads reads row 0 alone
+        row = -middle.shift % middle.copies
+        if q.reads is None and row:
+            return OperatorMatrix.zeros(j.dim, j.dim, j.mode)
+        sub = OperatorMatrix.from_numerators(middle.stack[0], middle.denominator)
+        return sub if q.reads is None else q.reads[row] @ sub
+    # the exponents cancel, so block a contributes base(a) times the sum of
+    # its N block rows, stack[tau^k a]; base is tau-invariant (DilationTriple
+    # checks it), so summed over a that is N times sum(base(a) * stack[a]):
+    # one dot, over integers in exact mode
+    den, coeffs, bound = j._coefficients
+    stack = middle.stack
+    if bound is not None and bound * middle.bound >= _INT64_LIMIT:
+        coeffs, stack = coeffs.astype(object), stack.astype(object)
+    nums = (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+    return OperatorMatrix.from_numerators(nums, den * middle.denominator).scale(j.copies)
 
 
 def compress_word(triple: DilationTriple, word: Sequence[str]) -> OperatorMatrix:
@@ -840,7 +910,8 @@ def compress_word(triple: DilationTriple, word: Sequence[str]) -> OperatorMatrix
     for lbl in word:
         if lbl not in triple.U_family:
             raise ValueError(f"unknown operator label {lbl!r}")
-    return _compress(triple, _word_operator(triple, word))
+    _, middle, _ = next(_prefix_products(triple, [tuple(word)]))
+    return _compress(triple, middle)
 
 
 def _power_label(triple: DilationTriple, label: str | None) -> str:
@@ -848,6 +919,8 @@ def _power_label(triple: DilationTriple, label: str | None) -> str:
         if len(triple.U_family) != 1:
             raise ValueError("triple has several operators; pass a label")
         label = next(iter(triple.U_family))
+    if label not in triple.U_family:
+        raise ValueError(f"unknown operator label {label!r}")
     return label
 
 
@@ -866,60 +939,37 @@ def compressed_powers(triple: DilationTriple, n_max: int,
                       label: str | None = None) -> list[OperatorMatrix]:
     """Q U^n J for n = 0..n_max from one running product: n_max - 1 block products.
 
-    Entry n is bit for bit :func:`compressed_power` ``(triple, n, label)``,
-    which multiplies in the same left-to-right order.
+    Entry n is bit for bit :func:`compressed_power` ``(triple, n, label)``:
+    both multiply in the prefix walk, left to right.
     """
     _check_power(n_max)
-    u = triple.U_family[_power_label(triple, label)]
-    acc = _identity_operator(triple)
-    out = [_compress(triple, acc)]
-    for n in range(1, n_max + 1):
-        acc = u if n == 1 else acc @ u
-        out.append(_compress(triple, acc))
-    return out
+    label = _power_label(triple, label)
+    # sorted, the powers come in the order of n
+    return [_compress(triple, middle) for _, middle, _ in
+            _prefix_products(triple, [(label,) * n for n in range(n_max + 1)])]
 
 
-def _compress(triple: DilationTriple, middle) -> OperatorMatrix:
-    j, q = triple.J, triple.Q
-    if not isinstance(middle, BlockDiagonalOperator) or middle.stack.shape[1] != j.dim:
-        raise ValueError("J and Q need a block operator on blocks of their size")
-    if isinstance(j, FirstBlockMap):
-        if not isinstance(q, FirstBlockMap) or (q.blocks, q.dim) != (j.blocks, j.dim):
-            raise ValueError("J and Q first-block maps do not match")
-        if middle.count != 1 or middle.copies != j.blocks:
-            raise ValueError("block partition mismatch")
-        # J feeds block column 0, and only block row -shift holds its
-        # sub-block, stack[0], there; Q reads that row through reads[row],
-        # or without reads reads row 0 alone
-        row = -middle.shift % middle.copies
-        if q.reads is None and row:
-            return OperatorMatrix.zeros(j.dim, j.dim, triple.mode)
-        sub = OperatorMatrix.from_numerators(middle.stack[0], middle.denominator)
-        return sub if q.reads is None else q.reads[row] @ sub
-    if (not isinstance(q, ScaledBlockMap) or q.class_bases != j.class_bases
-            or (q.classes is not j.classes and not np.array_equal(q.classes, j.classes))):
-        raise ValueError("J and Q block scalings do not match")
-    if middle.count != j.block_count or middle.copies != j.copies:
-        raise ValueError("block partition mismatch")
-    stack = middle.stack
-    if triple.mode == EXACT:
-        # the exponents cancel, so block a contributes base(a) times the sum
-        # of its N block rows, stack[tau^k a]; base is tau-invariant
-        # (DilationTriple checks it), so summed over a that is N times
-        # sum(base(a) * stack[a]): one integer dot
-        den, coeffs, weight = j._numerators
-        if weight * middle.bound >= _INT64_LIMIT:
-            coeffs, stack = coeffs.astype(object), stack.astype(object)
-        nums = (coeffs @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
-        return OperatorMatrix.from_numerators(nums, den * middle.denominator).scale(j.copies)
-    # float: each block's N block rows summed in slot order, as in the full
-    # stack, then weighted; a chunk of blocks at a time, so neither the
-    # rotations nor their stack rows are ever held for every block at once
-    sums = np.empty_like(stack)
-    for i in range(0, middle.count, _ROW_CHUNK):
-        stack[middle._orbits(i, i + _ROW_CHUNK)].sum(axis=1, out=sums[i:i + _ROW_CHUNK])
-    coeffs = j.scales() * q.scales()
-    return OperatorMatrix(np.einsum("b,bij->ij", coeffs, sums))
+def _word_budget(label_count: int, max_len: int, cap: int) -> Iterator[tuple[int, int, bool]]:
+    """(length, word count, whole) for each length that gets a word; whole: all of its words.
+
+    Whole lengths are taken in increasing order while they fit the cap;
+    once one does not, the rest of the cap is spread over the remaining
+    lengths, `share` words each and one more for the first `extra` of them.
+    With share 0 only those `extra` lengths are yielded, so at most `cap`
+    lengths are, however large max_len is.
+    """
+    words = 0
+    for n in range(max_len + 1):
+        count = label_count ** n
+        if words + count <= cap:
+            words += count
+            yield n, count, True
+            continue
+        left, k = cap - words, max_len - n + 1
+        share, extra = divmod(left, k)
+        for idx in range(min(k, left)):
+            yield n + idx, share + (idx < extra), False
+        return
 
 
 def check_word_set(label_count: int, max_len: int, word_cap: int):
@@ -932,50 +982,30 @@ def check_word_set(label_count: int, max_len: int, word_cap: int):
     """
     if max_len < 0 or word_cap < 1 or label_count < 1:
         return
-    # as _word_set runs, until the count is known to be over the cap: each
-    # length adds at least n labels, so that takes at most ~sqrt(2 * cap) lengths
-    total = words = n = 0
-    while n <= max_len and total <= WORD_LABEL_CAP:
-        count = label_count ** n
-        if words + count > word_cap:
-            # lengths n..max_len share the rest of the budget: `share` words
-            # each, and one more for the first `extra` of them
-            k = max_len - n + 1
-            share, extra = divmod(word_cap - words, k)
-            total += share * (k * n + k * (k - 1) // 2) + extra * n + extra * (extra - 1) // 2
-            break
-        words += count
+    # every length after the first adds at least its length in labels, so
+    # this stops after ~sqrt(2 * WORD_LABEL_CAP) lengths however large the inputs
+    total = 0
+    for n, count, _ in _word_budget(label_count, max_len, word_cap):
         total += n * count
-        n += 1
-    if total > WORD_LABEL_CAP:
-        raise ValueError(
-            f"word set too large: up to {word_cap} words of length at most {max_len} over "
-            f"{label_count} labels hold over {WORD_LABEL_CAP} labels in all")
+        if total > WORD_LABEL_CAP:
+            raise ValueError(
+                f"word set too large: up to {word_cap} words of length at most {max_len} "
+                f"over {label_count} labels hold over {WORD_LABEL_CAP} labels in all")
 
 
 def _word_set(labels: Sequence[str], max_len: int, cap: int,
               rng: random.Random) -> list[tuple[str, ...]]:
     """All words up to max_len, falling back to seeded sampling past the cap.
 
-    Lengths are exhausted in increasing order while they fit; once a length
-    no longer fits, the leftover budget is spread evenly over the remaining
-    lengths and filled with uniform random words.
+    :func:`_word_budget` splits the cap over the lengths; a length that does
+    not fit whole gets uniform random words.
     """
     words: list[tuple[str, ...]] = []
-    r = len(labels)
-    for n in range(max_len + 1):
-        count = r ** n
-        if len(words) + count <= cap:
+    for n, count, whole in _word_budget(len(labels), max_len, cap):
+        if whole:
             words.extend(itertools.product(labels, repeat=n))
-            continue
-        budget = cap - len(words)
-        share, extra = divmod(budget, max_len - n + 1)
-        # with share 0 only the first `extra` lengths get a word, so at most
-        # `budget` lengths are visited, however large max_len is
-        for idx in range(min(max_len - n + 1, budget)):
-            for _ in range(share + (idx < extra)):
-                words.append(tuple(rng.choice(labels) for _ in range(n + idx)))
-        break
+        else:
+            words.extend(tuple(rng.choice(labels) for _ in range(n)) for _ in range(count))
     return words
 
 
@@ -984,47 +1014,16 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
     """Decide every word; the one place a word verdict is made.
 
     Q U_w J must equal the target product exactly in exact mode, and lie
-    within `tolerance` of it in float mode.  The distinct words are visited
-    in sorted order, so each word comes right after its prefixes, and each
-    step extends a prefix by one label with one product.  A stack holds
-    (prefix length, U product, target product) along the current word, and
-    keeps a prefix only at a length where a later word leaves the current
-    one; the others are replaced by their extensions.  The checks come back
-    in the order of `words`, repeats included.
+    within `tolerance` of it in float mode.  The products come from
+    :func:`_prefix_products`, shared along common prefixes.  The checks come
+    back in the order of `words`, repeats included.
     """
     exact = triple.mode == EXACT
     for t in targets.values():
         if t.mode != triple.mode:
             raise ModeError(f"mode mismatch: {triple.mode} vs {t.mode}")
-    identity = OperatorMatrix.identity(next(iter(targets.values())).rows, triple.mode)
-    distinct = sorted(set(words))
-    # leaves[j]: the lengths at which a later word leaves distinct[j], the
-    # running minima of the common prefix lengths of neighbours from j on;
-    # none exceeds len(distinct[j]), so all of them are no more than the labels
-    leaves, running = [frozenset()] * len(distinct), []
-    for j in range(len(distinct) - 2, -1, -1):
-        a, b = distinct[j], distinct[j + 1]
-        common = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-        while running and running[-1] >= common:
-            running.pop()
-        running.append(common)
-        leaves[j] = frozenset(running)
     decided: dict[tuple[str, ...], WordCheck] = {}
-    stack: list = []
-    for word, keep in zip(distinct, leaves):
-        # the stack holds prefixes of word, the longest its common prefix with the last word
-        for i in range(stack[-1][0] if stack else 0, len(word)):
-            u, t = triple.U_family[word[i]], targets[word[i]]
-            if stack:
-                length, pu, pt = stack[-1]
-                u, t = pu @ u, pt @ t
-                if length not in keep:
-                    stack.pop()
-            stack.append((i + 1, u, t))
-        if word:
-            _, middle, want = stack[-1]
-        else:
-            middle, want = _identity_operator(triple), identity
+    for word, middle, want in _prefix_products(triple, words, targets):
         got = _compress(triple, middle)
         if exact:
             passed = got == want
@@ -1033,8 +1032,6 @@ def _walk(triple: DilationTriple, targets: Mapping[str, OperatorMatrix],
             residual = operator_residual(got, want)
             passed = residual <= tolerance
         decided[word] = WordCheck(word, residual, passed, len(word) <= triple.n_guarantee)
-        while stack and stack[-1][0] not in keep:
-            stack.pop()
     return [decided[word] for word in words]
 
 
