@@ -366,10 +366,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _load_generators(spec_text: str, d: int):
+    """The generators, their names, and what the input hash covers: a preset's
+    name, or the loaded document of a generator file (not its path)."""
     if spec_text == "perms":
-        return permutation_generators(d)
+        return (*permutation_generators(d), spec_text)
     if spec_text == "sperms":
-        return signed_permutation_generators(d)
+        return (*signed_permutation_generators(d), spec_text)
     payload = _load_json(spec_text)
     if isinstance(payload, dict) and "generators" in payload:
         entries = payload["generators"]
@@ -392,7 +394,7 @@ def _load_generators(spec_text: str, d: int):
         mats.append(mat)
     if names is None:
         names = [f"G{i}" for i in range(len(mats))]
-    return mats, [str(n) for n in names]
+    return mats, [str(n) for n in names], payload
 
 
 def _certificate_doc(cert):
@@ -412,13 +414,13 @@ def _certificate_doc(cert):
 
 def _cmd_hull_check(args) -> int:
     payload, mat, warnings = _load_matrix(args.matrix)
-    params = {"generators": args.generators, "mode": args.mode,
-              "max_denominator": args.max_denominator}
     snap_error = 0.0
     if mat.mode == FLOAT64:
         mat, snap_error = snap_matrix(mat, args.max_denominator)
         warnings.append("float matrix snapped to the rational grid")
-    gens, names = _load_generators(args.generators, mat.rows)
+    gens, names, generators = _load_generators(args.generators, mat.rows)
+    params = {"generators": generators, "mode": args.mode,
+              "max_denominator": args.max_denominator}
     outcome = hull_membership(mat, gens, mode=args.mode, names=names)
     membership = {"status": outcome.status, "mode": outcome.mode}
     if outcome.member:

@@ -8,7 +8,9 @@ right test.
 
 The Hilbert-space route to dilations starts from an SVD: any contraction is
 an average of orthogonal matrices obtained by flipping signs of its singular
-values, with product weights built from (1 +- sigma_k)/2.
+values.  Each singular value sigma is E[sign(sigma - u)] for u uniform on
+[-1, 1], and one draw of u sets the signs of all of them at once, so the
+average has at most d + 1 terms: the sign patterns are nested thresholds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from .linalg import EXACT, FLOAT64, OperatorMatrix, PNorm
 
 _SIGNED_PERM_CAP = 5
-_DECOMP_DIM_CAP = 8
 _SVD_DIM_CAP = 16
 _WEIGHT_DROP = 1e-14
 _ISO_TOL = 1e-10
@@ -144,31 +145,32 @@ class OrthogonalDecomposition:
 def decompose_contraction(T: OperatorMatrix, tol: float = 1e-9) -> OrthogonalDecomposition:
     """Write a norm-contraction as a convex combination of orthogonal matrices.
 
-    Flip each singular value to +-1: the factor for a sign pattern s is
-    U diag(s) V^t and its weight is the product of (1 + s_k sigma_k)/2.
-    Weights below 1e-14 are dropped; at most 2^d terms survive.
+    With T = U diag(sigma) V^t, sigma in [0, 1] and descending, and the
+    edges 1, sigma_1, ..., sigma_d, -1, the k-th term (k = 0..d) has the
+    sign pattern s = (+1 on the first k coordinates, -1 on the rest), the
+    factor U diag(s) V^t and the weight (edge_k - edge_{k+1})/2: the chance
+    that u uniform on [-1, 1] falls between those edges.  The weights sum
+    to 1 and average the patterns to sigma.  Weights below 1e-14 are
+    dropped, so at most d + 1 terms survive.
     """
     if T.mode != FLOAT64:
         T = T.to_float()
     if not T.is_square:
         raise ValueError("decomposition needs a square matrix")
-    d = T.rows
-    if d > _DECOMP_DIM_CAP:
-        raise ValueError(f"dimension {d} above decomposition cap {_DECOMP_DIM_CAP}")
     u, sigma, v = svd(T)
     if sigma[0] > 1.0 + tol:
         raise ValueError(f"operator norm {sigma[0]:.12g} exceeds 1 + tol")
-    sigma = [min(s, 1.0) for s in sigma]
+    d = T.rows
+    # svd's sigma is descending, so the clamped edges are too
+    edges = np.concatenate(([1.0], np.clip(sigma, 0.0, 1.0), [-1.0]))
     ua, va = u.to_ndarray(), v.to_ndarray()
     terms = []
-    for pattern in itertools.product((1.0, -1.0), repeat=d):
-        w = 1.0
-        for s, sg in zip(pattern, sigma):
-            w *= 0.5 * (1.0 + s * sg)
+    for k in range(d + 1):
+        w = 0.5 * float(edges[k] - edges[k + 1])
         if w < _WEIGHT_DROP:
             continue
-        factor = ua @ np.diag(pattern) @ va.T
-        terms.append((w, OperatorMatrix(factor)))
+        pattern = np.where(np.arange(d) < k, 1.0, -1.0)
+        terms.append((w, OperatorMatrix((ua * pattern) @ va.T)))
     return OrthogonalDecomposition(tuple(terms))
 
 

@@ -25,7 +25,6 @@ DIM_CAP = 256        # d*(N+1): oracle's N+1 dense powers of U, ~1 s at 256 and 
                      # on one BLAS thread of a 2-vCPU x86 host
 _NORM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
-_CROSS_DIM_CAP = 5
 _CROSS_POWER_CAP = 4
 _CROSS_SNAP_DENOMINATOR = 10 ** 9
 
@@ -115,8 +114,9 @@ class CrossValidationReport:
 
     The oracle curve comes from compressing the block unitary; the
     decomposition curve goes through the sign-flip convex combination of
-    orthogonal matrices and the cyclic dilation built from it, so it also
-    absorbs the weight-snapping error.
+    at most d + 1 orthogonal matrices (each singular value written as
+    E[sign(sigma - u)] for u uniform on [-1, 1]) and the cyclic dilation
+    built from it, so it also absorbs the weight-snapping error.
     """
 
     d: int
@@ -148,11 +148,10 @@ def cross_validate(T: OperatorMatrix, N: int,
     t = T.to_float() if T.mode == EXACT else T
     if not t.is_square:
         raise ValueError("need a square matrix")
-    d = t.rows
-    if d > _CROSS_DIM_CAP:
-        raise ValueError(f"cross validation supports d <= {_CROSS_DIM_CAP}")
     if not 1 <= N <= _CROSS_POWER_CAP:
         raise ValueError(f"cross validation supports 1 <= N <= {_CROSS_POWER_CAP}")
+    # first, so that svd's dimension cap refuses a large d before the oracle is built
+    decomp = decompose_contraction(t)
 
     a = t.to_ndarray()
     targets = [np.linalg.matrix_power(a, n) for n in range(N + 1)]
@@ -162,7 +161,6 @@ def cross_validate(T: OperatorMatrix, N: int,
         float(np.max(np.abs(oracle.compression(n).to_ndarray() - targets[n])))
         for n in range(N + 1))
 
-    decomp = decompose_contraction(t)
     weight_sum = float(sum(decomp.weights))
     recon_err = float(np.max(np.abs(decomp.reconstruct().to_ndarray() - a)))
     rat_weights, rat_err = rationalize_decomposition(decomp, snap_denominator)
@@ -173,5 +171,5 @@ def cross_validate(T: OperatorMatrix, N: int,
     decomp_res = tuple(
         float(np.max(np.abs(sum(powers[1:], powers[0]).to_ndarray() - targets[n])))
         for n, powers in enumerate(zip(*parts)))
-    return CrossValidationReport(d, N, oracle_res, decomp_res,
+    return CrossValidationReport(t.rows, N, oracle_res, decomp_res,
                                  recon_err, weight_sum, rat_err)

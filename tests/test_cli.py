@@ -277,6 +277,24 @@ def test_hull_check_custom_generators(tmp_path, capsys):
         "e": "1/2", "s": "1/2"}
 
 
+def test_hull_check_hashes_the_generator_file_not_its_path(tmp_path, capsys):
+    matrix = _write(tmp_path, "matrix.json", _mat([["1/2", "1/2"], ["1/2", "1/2"]]))
+    swap = {"generators": [_mat([[1, 0], [0, 1]]), _mat([[0, 1], [1, 0]])]}
+    named = {**swap, "names": ["e", "s"]}
+
+    def input_hash(gens):
+        code, doc = _run_json(capsys, ["hull-check", "--matrix", matrix, "--generators", gens])
+        assert code == 0
+        return doc["inputs"]["hash"]
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    one_file_two_paths = {input_hash(_write(tmp_path / d, "gens.json", swap)) for d in "ab"}
+    two_files_one_path = {input_hash(_write(tmp_path, "gens.json", g)) for g in (swap, named)}
+    assert len(one_file_two_paths) == 1
+    assert len(two_files_one_path) == 2
+
+
 def test_hull_check_refuses_repeated_generator_names(tmp_path, capsys):
     # with one name twice, the report would keep only the last weight
     gens = _write(tmp_path, "gens.json", {

@@ -4,14 +4,33 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dilations.isometries import (SignedPermutation, all_permutations,
-                                  all_signed_permutations,
+from dilations.isometries import (OrthogonalDecomposition, SignedPermutation,
+                                  all_permutations, all_signed_permutations,
                                   decompose_contraction, is_lp_isometry,
                                   rationalize_decomposition, svd)
 from dilations.linalg import EXACT, OperatorMatrix, PNorm, lp_norm_pow_p
 
 F = Fraction
+
+
+def product_rule(T: OperatorMatrix) -> OrthogonalDecomposition:
+    """The 2^d sign-flip oracle: each singular value flips on its own.
+
+    The factor for a sign pattern s is U diag(s) V^t and its weight is the
+    product of (1 + s_k sigma_k)/2; weights below 1e-14 are dropped.
+    """
+    u, sigma, v = svd(T)
+    sigma = [min(s, 1.0) for s in sigma]
+    ua, va = u.to_ndarray(), v.to_ndarray()
+    terms = []
+    for pattern in itertools.product((1.0, -1.0), repeat=T.rows):
+        w = math.prod(0.5 * (1.0 + s * sg) for s, sg in zip(pattern, sigma))
+        if w >= 1e-14:
+            terms.append((w, OperatorMatrix(ua @ np.diag(pattern) @ va.T)))
+    return OrthogonalDecomposition(tuple(terms))
 
 
 def test_signed_permutation_matrix_oracle():
@@ -97,8 +116,10 @@ def test_decompose_scalar_oracle():
 def test_decompose_rejects_expansion():
     with pytest.raises(ValueError):
         decompose_contraction(OperatorMatrix([[1.5]]))
-    with pytest.raises(ValueError):
-        decompose_contraction(OperatorMatrix(np.ones((9, 9)) * 0.1))
+    # d + 1 factors of size d: svd's cap of 16 bounds them
+    assert len(decompose_contraction(OperatorMatrix(np.eye(16) * 0.5)).terms) == 2
+    with pytest.raises(ValueError, match="above svd cap 16"):
+        decompose_contraction(OperatorMatrix(np.ones((17, 17)) * 0.05))
 
 
 def test_decompose_random_contractions():
@@ -115,6 +136,46 @@ def test_decompose_random_contractions():
         for f in decomp.factors:
             fa = f.to_ndarray()
             assert np.max(np.abs(fa.T @ fa - np.eye(d))) < 1e-8
+
+
+def _orthogonal(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+
+# singular values from a few levels, so repeats, zeros and ones are common
+_SIGMAS = st.lists(st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigmas=_SIGMAS, seed=st.integers(0, 2 ** 32 - 1))
+def test_threshold_rule_against_the_product_rule(sigmas, seed):
+    d = len(sigmas)
+    rng = np.random.default_rng(seed)
+    a = _orthogonal(rng, d) @ np.diag(sigmas) @ _orthogonal(rng, d).T
+    T = OperatorMatrix(a)
+    decomp = decompose_contraction(T)
+    u, sigma, v = svd(T)
+    ua, va = u.to_ndarray(), v.to_ndarray()
+
+    assert 1 <= len(decomp.terms) <= d + 1
+    assert all(w >= 0 for w in decomp.weights)
+    assert abs(sum(decomp.weights) - 1.0) <= 1e-12
+    # read each sign pattern back off its factor: diag(U^t F V)
+    patterns = [np.diag(ua.T @ f.to_ndarray() @ va) for f in decomp.factors]
+    for s in patterns:
+        assert np.max(np.abs(np.abs(s) - 1.0)) <= 1e-9
+    plus = [np.flatnonzero(s > 0).tolist() for s in patterns]
+    # nested: each pattern is +1 on a longer prefix than the one before
+    assert all(p == list(range(len(p))) for p in plus)
+    assert all(len(a) < len(b) for a, b in zip(plus, plus[1:]))
+    mean = sum(w * np.sign(s) for w, s in zip(decomp.weights, patterns))
+    assert np.max(np.abs(mean - np.minimum(sigma, 1.0))) <= 1e-12
+    for f in decomp.factors:
+        fa = f.to_ndarray()
+        assert np.max(np.abs(fa.T @ fa - np.eye(d))) <= 1e-9
+    for rule in (decomp, product_rule(T)):
+        assert np.max(np.abs(rule.reconstruct().to_ndarray() - a)) <= 1e-9
 
 
 def test_rationalize_decomposition_roundtrip():

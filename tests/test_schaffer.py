@@ -16,6 +16,7 @@ from dilations.isometries import decompose_contraction, rationalize_decompositio
 from dilations.linalg import OperatorMatrix, PNorm, operator_residual
 from dilations.schaffer import (cross_validate, defect_root, schaffer_dilation,
                                 spectral_norm)
+from test_isometries import product_rule
 
 
 def _random_contraction(rng, d, scale=0.9):
@@ -185,11 +186,26 @@ def test_dilation_size_cap(monkeypatch):
             schaffer_dilation(T, N)
 
 
-def test_cross_validate_caps():
-    with pytest.raises(ValueError):
-        cross_validate(OperatorMatrix(np.zeros((6, 6))), 2)
+def test_cross_validate_caps(monkeypatch):
+    def never(*args):
+        raise AssertionError("dilation built past the dimension cap")
+
+    monkeypatch.setattr(schaffer, "schaffer_dilation", never)
+    with pytest.raises(ValueError, match="above svd cap 16"):
+        cross_validate(OperatorMatrix(np.zeros((17, 17))), 2)
     with pytest.raises(ValueError):
         cross_validate(OperatorMatrix(np.zeros((2, 2))), 5)
+
+
+def test_cross_validate_at_d_8():
+    """d = 8, N = 4: nine terms, 9^4 alpha blocks, against the Schaffer oracle."""
+    T = _random_contraction(np.random.default_rng(8), 8, 0.95)
+    assert len(decompose_contraction(T).terms) == 9
+    report = cross_validate(T, 4)
+    assert len(report.oracle_residuals) == len(report.decomposition_residuals) == 5
+    assert report.max_oracle <= 1e-12
+    assert report.max_decomposition <= 1e-12
+    assert abs(report.weight_sum - 1) <= 1e-12
 
 
 def test_alpha_ranges_sum_to_the_whole_dilation(monkeypatch):
@@ -230,12 +246,41 @@ def test_alpha_ranges_sum_to_the_whole_dilation(monkeypatch):
                                      report.decomposition_residuals))) < 1e-12
 
 
-def test_cross_validate_at_the_old_streamed_size():
-    """d = 4, N = 4: 16^4 alpha blocks, once past the dense count of the size cap."""
+def test_cross_validate_at_the_old_streamed_size(monkeypatch):
+    """d = 4, N = 4: the product rule's 16^4 alpha blocks stream over several parts
+    and sum to T^n; cross_validate's threshold rule needs 5^4 blocks, one part."""
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 4))
     T = OperatorMatrix(0.95 * a / np.linalg.svd(a)[1][0])
-    assert len(decompose_contraction(T).terms) == 16
+    N, p2 = 4, PNorm(2)
+    # 16,384 alpha rows of 4 x 4 float entries a part
+    monkeypatch.setattr(builders, "STACK_BYTES_CAP", 16384 * 4 * 4 * 8)
+
+    decomp = product_rule(T)
+    assert len(decomp.terms) == 16
+    weights, _ = rationalize_decomposition(decomp, schaffer._CROSS_SNAP_DENOMINATOR)
+    combo = ConvexCombination(tuple(decomp.factors), tuple(weights))
+    parts, rows = [], 0
+    for part in build_n_dilation_parts(combo, N, p2):
+        rows += part.U_family["T"].count
+        parts.append(compressed_powers(part, N))
+    assert rows == 16 ** 4 and len(parts) >= 4
+    for n, powers in enumerate(zip(*parts)):
+        summed = sum(powers[1:], powers[0]).to_ndarray()
+        assert np.max(np.abs(summed - np.linalg.matrix_power(T.to_ndarray(), n))) <= 1e-6
+
+    counted = []
+    build_parts = schaffer.build_n_dilation_parts
+
+    def counting(*args):
+        for part in build_parts(*args):
+            counted.append(part.U_family["T"].count)
+            yield part
+
+    monkeypatch.setattr(schaffer, "build_n_dilation_parts", counting)
+    assert len(decompose_contraction(T).terms) == 5
     report = cross_validate(T, 4)
+    assert counted == [5 ** 4]
     assert len(report.decomposition_residuals) == 5
+    assert report.max_oracle <= 1e-6
     assert report.max_decomposition <= 1e-6
