@@ -12,6 +12,7 @@ or contract violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -135,7 +136,7 @@ def _resolve_p(payload_p, flag_p) -> PNorm:
         chosen = "2"
     try:
         return PNorm.parse(chosen)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise PayloadError(f"bad p value {chosen!r}: {exc}") from exc
 
 
@@ -207,6 +208,63 @@ def _flag(name: str, passed: bool):
     return _check(name, 0.0 if passed else 1.0, passed)
 
 
+_escape = json.encoder.encode_basestring_ascii     # json's C string escaper
+
+
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == math.inf:
+        return "Infinity"
+    if o == -math.inf:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _key(k) -> str:
+    """A dict key as json spells it, before escaping."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _dumps(k, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _dumps(o, nl: str) -> str:
+    """json.dumps(o, indent=2, sort_keys=True), byte for byte, for `o` at the
+    level whose line break and indent is `nl`.  json's indented encoder is
+    pure Python; this one joins each container once and escapes strings in C."""
+    t = type(o)
+    if t is str:
+        return _escape(o)
+    if t is float:
+        return _float(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is bool or o is None:
+        return "true" if o is True else "false" if o is False else "null"
+    if t is not dict and t is not list and t is not tuple:
+        # subclasses, in json's order; anything else json refuses too
+        if isinstance(o, str):
+            return _escape(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float(o)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = nl + "  "    # members inline the str case: it saves a call per word label
+    if isinstance(o, dict):
+        return "{" + inner + ("," + inner).join([
+            _escape(k if type(k) is str else _key(k)) + ": "
+            + (_escape(v) if type(v) is str else _dumps(v, inner))
+            for k, v in sorted(o.items())]) + nl + "}"
+    return "[" + inner + ("," + inner).join([
+        _escape(v) if type(v) is str else _dumps(v, inner) for v in o]) + nl + "]"
+
+
 def _emit(args, payload, params: dict, mode: str, results: list, provenance: dict,
           warnings) -> int:
     """Hash the inputs, then write the report to --out or stdout; the exit code."""
@@ -225,7 +283,7 @@ def _emit(args, payload, params: dict, mode: str, results: list, provenance: dic
     }
     if warnings:
         doc["warnings"] = sorted(set(warnings))
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _dumps(doc, "\n") + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -608,9 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built by the first run: parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise PayloadError(f"--tolerance must be finite and nonnegative, "

@@ -1,11 +1,16 @@
 """End-to-end command line runs: schemas, exit codes, determinism."""
 
 import argparse
+import copy
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from test_report_digests import CASES
 
 from dilations import builders, cli, schaffer
 from dilations.builders import ConvexCombination
@@ -156,6 +161,27 @@ def test_conflicting_p_is_input_error(tmp_path, capsys):
     code = run(["build", "--combo", combo, "--N", "1", "--p", "2"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["payload", "flag"])
+@pytest.mark.parametrize("p", ["1/0", "0/0"])
+@pytest.mark.parametrize("command", ["build", "verify", "zero-augment"])
+def test_zero_denominator_p_is_input_error(command, p, where, tmp_path, capsys):
+    # Fraction("1/0") raises ZeroDivisionError, an ArithmeticError: it must not
+    # read as a verification failure (exit 1)
+    payload = _augment_payload() if command == "zero-augment" else _combo_payload()
+    if where == "payload":
+        payload["p"] = p
+    else:
+        del payload["p"]
+    path = _write(tmp_path, "payload.json", payload)
+    argv = {"build": ["build", "--combo", path, "--N", "2"],
+            "verify": ["verify", "--combo", path, "--N", "2", "--all-up-to", "2"],
+            "zero-augment": ["zero-augment", "--family", path, "--N", "2"]}[command]
+    code = run(argv + (["--p", p] if where == "flag" else []))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: bad p value {p!r}")
 
 
 def test_mixed_payload_forces_float_with_warning(tmp_path, capsys):
@@ -693,3 +719,161 @@ def test_simultaneous_refuses_a_large_denominator_before_copying(tmp_path, capsy
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: dilation too large")
+
+
+# ---------------------------------------------------------------------------
+# the report writer, the per-process parser and a boundary fuzzer
+
+
+class _Wrong:
+    """A scalar subclass whose str() and repr() are not its value: json reads
+    the value through the base type, and so must the report writer."""
+
+    def __repr__(self):
+        return "wrong"
+
+    __str__ = __repr__
+
+
+class _Str(_Wrong, str):
+    pass
+
+
+class _Int(_Wrong, int):
+    pass
+
+
+class _Float(_Wrong, float):
+    pass
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 100, 2 ** 100),
+    st.sampled_from([2 ** 100, -2 ** 100, math.nan, math.inf, -math.inf, -0.0, 1e308]),
+    st.floats(), st.text(), st.text(max_size=4).map(_Str), st.integers().map(_Int),
+    st.floats().map(_Float))
+_KEYS = (st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+         st.text(max_size=2).map(_Str))
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
+    *(st.dictionaries(keys, kids, max_size=4) for keys in _KEYS)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_report_writer_matches_json_dumps(tree):
+    try:
+        expected = json.dumps(tree, indent=2, sort_keys=True)
+    except TypeError:            # keys of two types that do not sort
+        with pytest.raises(TypeError):
+            cli._dumps(tree, "\n")
+        return
+    assert cli._dumps(tree, "\n") == expected
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.int64(3), {1, 2}],
+                         ids=["Fraction", "int64", "set"])
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [0, v], lambda v: {"k": v},
+                                  lambda v: {frozenset(v) if isinstance(v, set) else v: 0}],
+                         ids=["bare", "list", "dict", "key"])
+def test_report_writer_refuses_what_json_refuses(value, wrap):
+    with pytest.raises(TypeError):
+        json.dumps(wrap(value), indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._dumps(wrap(value), "\n")
+
+
+def test_cached_parser_keeps_runs_apart(tmp_path, capsys):
+    combo = _write(tmp_path, "combo.json", _combo_payload())
+    base = ["verify", "--combo", combo, "--N", "2"]
+    for words in (["T"], ["T,T", ""], ["T"]):
+        code, doc = _run_json(capsys, base + [a for w in words for a in ("--word", w)])
+        assert code == 0
+        assert [r["word"] for r in doc["results"]] == [w.split(",") if w else []
+                                                      for w in words]
+    for parser in (cli.build_parser(), cli._parser()):
+        verify = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices["verify"]
+        assert next(a for a in verify._actions if a.dest == "word").default == []
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--combo", combo, "--word", "T"])          # no --N
+    assert exc.value.code == 2
+    assert "--N" in capsys.readouterr().err
+    code, doc = _run_json(capsys, base + ["--all-up-to", "1"])
+    assert code == 0 and [r["word"] for r in doc["results"]] == [[], ["T"]]
+
+
+_DELETE = object()
+# what a mutated node becomes; _DELETE removes it from its parent
+_ATOMS = (None, True, False, "1/0", "nan", 1e308, 10 ** 30,
+          {"rows": 0, "cols": 0, "data": []}, {"rows": 2, "cols": 2, "data": [[1], [0, 1]]},
+          _DELETE)
+_NUMERIC_FLAGS = ("--N", "--all-up-to", "--word-cap", "--window", "--m", "--trials")
+
+
+def _paths(node, prefix=()):
+    """Every path below `node` through dict keys and list indices."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _holds(node, key) -> bool:
+    return (isinstance(node, dict) and key in node
+            or isinstance(node, list) and isinstance(key, int) and key < len(node))
+
+
+def _mutate(payload, edits):
+    """A copy of `payload` with each edit applied whose path still exists."""
+    payload = copy.deepcopy(payload)
+    for path, atom in edits:
+        node = payload
+        for key in path[:-1]:
+            node = node[key] if _holds(node, key) else None
+        if _holds(node, path[-1]):
+            if atom is _DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = copy.deepcopy(atom)
+    return payload
+
+
+@st.composite
+def _fuzz_cases(draw):
+    name = draw(st.sampled_from(sorted(CASES)))
+    argv, payload, _ = CASES[name]
+    paths = sorted(_paths(payload), key=repr) if payload is not None else []
+    edits = draw(st.lists(st.tuples(st.sampled_from(paths), st.sampled_from(_ATOMS)),
+                          max_size=3)) if paths else []
+    flags = [a for a in argv if a in _NUMERIC_FLAGS]
+    values = draw(st.lists(st.tuples(st.sampled_from(flags),
+                                     st.sampled_from([-1, 0, 1, 2, 3])),
+                           max_size=2)) if flags else []
+    return name, tuple(edits), tuple(values)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_fuzz_cases())
+@example(case=("build", ((("p",), "1/0"),), ()))
+def test_mutated_digest_payloads_exit_cleanly(case, tmp_path, capsys):
+    # the pinned digest cases with one to three payload nodes replaced or
+    # deleted, or small numeric flags: exit 0, 1 or 2, nothing escapes
+    name, edits, values = case
+    argv, payload, _ = CASES[name]
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(_mutate(payload, edits)))
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    for flag, value in values:
+        argv[argv.index(flag) + 1] = str(value)
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if out:
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    if code == 2:
+        assert "error:" in err
+    else:
+        assert json.loads(out)["summary"]["pass"] is (code == 0)
